@@ -61,7 +61,8 @@ int main(int argc, char** argv) {
     const data::Field back = loaded.decompress_field(i, codec);
     std::string dims;
     for (std::size_t d : entry.dims) {
-      dims += (dims.empty() ? "" : "x") + std::to_string(d);
+      if (!dims.empty()) dims += 'x';
+      dims += std::to_string(d);
     }
     table.add_row({entry.name, dims, fmt_bytes(entry.stream.size()),
                    fmt_f64(entry.compression_ratio(), 2),

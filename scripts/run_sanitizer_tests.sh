@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Build with a sanitizer and run the concurrency-sensitive tests: the
-# engine, the checksum kernels, the fault-injection chaos suite, the
-# observability registry/tracer suite, the network service suite
-# (reader/worker threads, BufferPool, shutdown paths), the network
-# chaos suite (ChaosProxy relay threads, client retry loop, drain), the
-# tenant coordinator suite (mutex-guarded lease bookkeeping racing
+# engine, the codec and checksum kernels (hand-written SIMD loads and
+# stores), the fault-injection chaos suite, the observability
+# registry/tracer suite, the network service suite (reader/worker
+# threads, BufferPool, shutdown paths), the network chaos suite
+# (ChaosProxy relay threads, client retry loop, drain), the tenant
+# coordinator suite (mutex-guarded lease bookkeeping racing
 # the server's reader threads), and the parallel-simulator differential
 # suite (WaferSimulator row bands on shared thread pools).
 #
@@ -12,11 +13,6 @@
 #   scripts/run_sanitizer_tests.sh address [build-dir]   # AddressSanitizer
 #
 # Default build dir: build-<mode>.
-#
-# OpenMP is disabled for the TSan build: libgomp's barrier implementation
-# is not TSan-instrumented and produces known false positives; the
-# engine's own threading (std::thread + mutex/condvar) is what we are
-# checking. The ASan build keeps OpenMP on.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,21 +26,15 @@ case "$MODE" in
 esac
 BUILD_DIR="${2:-build-$MODE}"
 
-EXTRA_FLAGS=()
-if [ "$MODE" = "thread" ]; then
-  EXTRA_FLAGS+=(-DCMAKE_DISABLE_FIND_PACKAGE_OpenMP=TRUE)
-fi
-
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCERESZ_SANITIZE="$MODE" \
   -DCERESZ_BUILD_BENCH=OFF \
-  -DCERESZ_BUILD_EXAMPLES=OFF \
-  "${EXTRA_FLAGS[@]}"
+  -DCERESZ_BUILD_EXAMPLES=OFF
 
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
-  --target test_engine test_checksum test_fault_injection test_obs \
-  test_service test_chaos test_tenant test_wafer_sim
+  --target test_engine test_kernels test_checksum test_fault_injection \
+  test_obs test_service test_chaos test_tenant test_wafer_sim
 
 cd "$BUILD_DIR"
 if [ "$MODE" = "thread" ]; then
@@ -53,5 +43,5 @@ else
   export ASAN_OPTIONS="halt_on_error=1 detect_stack_use_after_return=1"
 fi
 ctest --output-on-failure \
-  -R '^test_(engine|checksum|fault_injection|obs|service|chaos|tenant|wafer_sim)$'
+  -R '^test_(engine|kernels|checksum|fault_injection|obs|service|chaos|tenant|wafer_sim)$'
 echo "${MODE} sanitizer tests passed."

@@ -75,8 +75,7 @@ std::vector<u8> CuszCompressor::compress(const data::Field& field,
   codec.encode(symbols, writer);
   std::vector<u8> bits = writer.finish();
 
-  std::vector<u8> out;
-  out.insert(out.end(), kMagic, kMagic + 4);
+  std::vector<u8> out(kMagic, kMagic + 4);
   out.push_back(static_cast<u8>(field.dims.size()));
   for (std::size_t d : field.dims) append_u64(out, d);
   u64 eps_bits;

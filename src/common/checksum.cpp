@@ -1,6 +1,14 @@
 #include "common/checksum.h"
 
 #include <array>
+#include <cstring>
+
+#include "common/error.h"
+#include "common/isa.h"
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 namespace ceresz {
 
@@ -36,6 +44,11 @@ constexpr SliceTables kTables = make_tables();
 }  // namespace
 
 u32 crc32c(std::span<const u8> data, u32 seed) {
+  static const bool hardware = host_isa() == HostIsa::kAvx2;
+  return hardware ? crc32c_sse42(data, seed) : crc32c_portable(data, seed);
+}
+
+u32 crc32c_portable(std::span<const u8> data, u32 seed) {
   u32 crc = ~seed;
   const u8* p = data.data();
   std::size_t n = data.size();
@@ -57,5 +70,26 @@ u32 crc32c(std::span<const u8> data, u32 seed) {
   }
   return ~crc;
 }
+
+#if defined(__x86_64__)
+__attribute__((target("sse4.2"))) u32 crc32c_sse42(std::span<const u8> data,
+                                                   u32 seed) {
+  u64 crc = ~seed;
+  const u8* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    u64 word;
+    std::memcpy(&word, p, sizeof(word));
+    crc = _mm_crc32_u64(crc, word);
+  }
+  u32 crc32 = static_cast<u32>(crc);
+  for (; n > 0; ++p, --n) crc32 = _mm_crc32_u8(crc32, *p);
+  return ~crc32;
+}
+#else
+u32 crc32c_sse42(std::span<const u8>, u32) {
+  CERESZ_FAIL("crc32c_sse42: SSE4.2 needs an x86-64 host");
+}
+#endif
 
 }  // namespace ceresz

@@ -22,6 +22,19 @@ struct ArraySummary {
 /// One-pass min/max/mean/variance (Welford) over `values`.
 ArraySummary summarize(std::span<const f32> values);
 
+/// Smallest and largest of `values` ({0, 0} when empty).
+struct ValueBounds {
+  f64 lo = 0.0;
+  f64 hi = 0.0;
+
+  f64 range() const { return hi - lo; }
+};
+
+/// min/max of `values` in one pass, without summarize()'s mean and
+/// variance. StreamCodec and ParallelEngine (per slice) resolve REL
+/// bounds with it, so both derive the same ε.
+ValueBounds value_bounds(std::span<const f32> values);
+
 /// Largest absolute difference between two equal-length arrays.
 f64 max_abs_diff(std::span<const f32> a, std::span<const f32> b);
 

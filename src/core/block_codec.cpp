@@ -1,15 +1,73 @@
 #include "core/block_codec.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/error.h"
 #include "core/flenc.h"
-#include "core/lorenzo.h"
-#include "core/prequant.h"
 
 namespace ceresz::core {
 
-BlockCodec::BlockCodec(CodecConfig config) : config_(config) {
+namespace {
+
+/// Blocks up to this many elements keep their working memory on the
+/// stack.
+constexpr u32 kStackElems = 1024;
+
+/// Working memory of the block kernels: |residuals|, sign bytes and a
+/// zero-padded partial block. On the stack up to kStackElems elements;
+/// larger blocks take one heap allocation per call, never one per block.
+class BlockScratch {
+ public:
+  explicit BlockScratch(u32 block_size) {
+    if (block_size > kStackElems) {
+      heap_abs_.resize(block_size);
+      heap_signs_.resize(block_size / 8);
+      heap_tail_.resize(block_size);
+      abs_ = heap_abs_.data();
+      signs_ = heap_signs_.data();
+      tail_ = heap_tail_.data();
+    }
+  }
+  BlockScratch(const BlockScratch&) = delete;
+  BlockScratch& operator=(const BlockScratch&) = delete;
+
+  u32* abs() { return abs_; }
+  u8* signs() { return signs_; }
+  f32* tail() { return tail_; }
+
+ private:
+  std::array<u32, kStackElems> stack_abs_;
+  std::array<u8, kStackElems / 8> stack_signs_;
+  std::array<f32, kStackElems> stack_tail_;
+  std::vector<u32> heap_abs_;
+  std::vector<u8> heap_signs_;
+  std::vector<f32> heap_tail_;
+  u32* abs_ = stack_abs_.data();
+  u8* signs_ = stack_signs_.data();
+  f32* tail_ = stack_tail_.data();
+};
+
+}  // namespace
+
+void StreamStats::merge(const StreamStats& other) {
+  total_blocks += other.total_blocks;
+  zero_blocks += other.zero_blocks;
+  constant_blocks += other.constant_blocks;
+  max_fixed_length = std::max(max_fixed_length, other.max_fixed_length);
+  u64 fl_sum = 0;
+  u64 blocks = 0;
+  for (std::size_t fl = 0; fl < fl_histogram.size(); ++fl) {
+    fl_histogram[fl] += other.fl_histogram[fl];
+    fl_sum += fl * fl_histogram[fl];
+    if (fl > 0) blocks += fl_histogram[fl];
+  }
+  mean_fixed_length =
+      blocks > 0 ? static_cast<f64>(fl_sum) / static_cast<f64>(blocks) : 0.0;
+}
+
+BlockCodec::BlockCodec(CodecConfig config, const KernelTable& table)
+    : config_(config), kernels_(&table) {
   config_.validate();
 }
 
@@ -18,14 +76,6 @@ std::size_t BlockCodec::compressed_size(u32 fl) const {
   if (fl == 0) return config_.header_bytes;
   if (fl == kConstantMarker) return config_.header_bytes + sizeof(i32);
   return config_.header_bytes + plane_bytes + fl * plane_bytes;
-}
-
-void BlockCodec::write_header(u32 fl, std::vector<u8>& out) const {
-  // Little-endian, header_bytes wide. fl <= 32 always fits in one byte;
-  // CereSZ pads to 4 bytes to honor the fabric's 32-bit transfer units.
-  for (u32 b = 0; b < config_.header_bytes; ++b) {
-    out.push_back(static_cast<u8>((fl >> (8 * b)) & 0xff));
-  }
 }
 
 u32 BlockCodec::read_header(std::span<const u8> in) const {
@@ -41,77 +91,60 @@ u32 BlockCodec::read_header(std::span<const u8> in) const {
   return fl;
 }
 
+BlockInfo BlockCodec::encode(const f32* block, f64 eps, u32* abs, u8* signs,
+                             std::vector<u8>& out) const {
+  const u32 L = config_.block_size;
+  const u32 bits = kernels_->encode_block(block, L, 2.0 * eps, abs, signs);
+
+  BlockInfo info;
+  u32 header = 0;
+  if (config_.zero_block_shortcut && bits == 0) {
+    // All-zero quantized block: a bare header with fixed length 0.
+    info.zero_block = true;
+  } else if (config_.constant_block_shortcut &&
+             std::all_of(abs + 1, abs + L, [](u32 a) { return a == 0; })) {
+    // Extension: residuals (p0, p1-p0, ...) of a constant block are
+    // (p0, 0, 0, ...) — store just the value.
+    info.constant_block = true;
+    header = kConstantMarker;
+  } else {
+    // A non-zero block always has fl >= 1; fl == 0 on the wire means
+    // "zero block", so when the shortcut is disabled an all-zero block is
+    // encoded with fl = 1 (one explicit zero plane).
+    info.fixed_length = std::max(effective_bits(bits), 1u);
+    header = info.fixed_length;
+  }
+
+  // Little-endian, header_bytes wide. fl <= 33 always fits in one byte;
+  // CereSZ pads to 4 bytes to honor the fabric's 32-bit transfer units.
+  const std::size_t size = compressed_size(header);
+  const std::size_t at = out.size();
+  out.resize(at + size);
+  u8* record = out.data() + at;
+  for (u32 b = 0; b < config_.header_bytes; ++b) {
+    record[b] = static_cast<u8>((header >> (8 * b)) & 0xff);
+  }
+  u8* body = record + config_.header_bytes;
+  if (info.constant_block) {
+    const u32 value = (signs[0] & 1u) != 0 ? 0u - abs[0] : abs[0];
+    for (int b = 0; b < 4; ++b) {
+      body[b] = static_cast<u8>((value >> (8 * b)) & 0xff);
+    }
+  } else if (!info.zero_block) {
+    std::memcpy(body, signs, L / 8);
+    kernels_->bit_shuffle(abs, L, 0, info.fixed_length, body + L / 8);
+  }
+  info.compressed_bytes = static_cast<u32>(size);
+  return info;
+}
+
 BlockInfo BlockCodec::compress(std::span<const f32> input, f64 eps,
                                std::vector<u8>& out) const {
   const u32 L = config_.block_size;
   CERESZ_CHECK(input.size() == L, "BlockCodec::compress: wrong block size");
   CERESZ_CHECK(eps > 0.0, "BlockCodec::compress: eps must be positive");
-
-  // Stage 1: pre-quantization.
-  std::vector<i32> quant(L);
-  prequant(input, quant, 2.0 * eps);
-
-  // Stage 2: 1-D Lorenzo prediction (in place).
-  lorenzo_forward(quant, quant);
-
-  // Stage 3: fixed-length encoding.
-  std::vector<u32> abs_values(L);
-  std::vector<u8> signs(L / 8);
-  split_sign(quant, abs_values, signs);
-  const u32 maxval = block_max(abs_values);
-  const u32 fl = effective_bits(maxval);
-
-  BlockInfo info;
-  if (config_.zero_block_shortcut && maxval == 0) {
-    // All-zero quantized block: a bare header with fixed length 0.
-    write_header(0, out);
-    info.fixed_length = 0;
-    info.zero_block = true;
-    info.compressed_bytes = config_.header_bytes;
-    return info;
-  }
-
-  if (config_.constant_block_shortcut) {
-    // Extension: residuals (p0, p1-p0, ...) of a constant block are
-    // (p0, 0, 0, ...) — detect and store just the value.
-    bool constant = true;
-    for (std::size_t i = 1; i < quant.size(); ++i) {
-      if (quant[i] != 0) {
-        constant = false;
-        break;
-      }
-    }
-    if (constant) {
-      write_header(kConstantMarker, out);
-      const u32 value = static_cast<u32>(quant[0]);
-      for (int b = 0; b < 4; ++b) {
-        out.push_back(static_cast<u8>((value >> (8 * b)) & 0xff));
-      }
-      info.fixed_length = 0;
-      info.constant_block = true;
-      info.compressed_bytes =
-          static_cast<u32>(compressed_size(kConstantMarker));
-      return info;
-    }
-  }
-
-  // A non-zero block always has fl >= 1; fl == 0 on the wire means "zero
-  // block", so when the shortcut is disabled an all-zero block is encoded
-  // with fl = 1 (one explicit zero plane).
-  const u32 encoded_fl = std::max(fl, 1u);
-  write_header(encoded_fl, out);
-  out.insert(out.end(), signs.begin(), signs.end());
-  const std::size_t plane_bytes = L / 8;
-  const std::size_t payload_at = out.size();
-  out.resize(out.size() + encoded_fl * plane_bytes);
-  bit_shuffle(abs_values, encoded_fl,
-              std::span<u8>(out.data() + payload_at, encoded_fl * plane_bytes));
-
-  info.fixed_length = encoded_fl;
-  info.zero_block = false;
-  info.compressed_bytes =
-      static_cast<u32>(compressed_size(encoded_fl));
-  return info;
+  BlockScratch scratch(L);
+  return encode(input.data(), eps, scratch.abs(), scratch.signs(), out);
 }
 
 std::size_t BlockCodec::decompress(std::span<const u8> in, f64 eps,
@@ -138,22 +171,71 @@ std::size_t BlockCodec::decompress(std::span<const u8> in, f64 eps,
     return total;
   }
 
-  const std::size_t plane_bytes = L / 8;
-  const std::span<const u8> signs = in.subspan(config_.header_bytes, plane_bytes);
-  const std::span<const u8> planes =
-      in.subspan(config_.header_bytes + plane_bytes, fl * plane_bytes);
-
-  std::vector<u32> abs_values(L);
-  bit_unshuffle(planes, fl, abs_values);
-  std::vector<i32> quant(L);
-  apply_sign(abs_values, signs, quant);
-  lorenzo_inverse(quant, quant);
-  dequant(quant, output, 2.0 * eps);
+  const u8* signs = in.data() + config_.header_bytes;
+  kernels_->decode_block(signs, signs + L / 8, fl, L, 2.0 * eps,
+                         output.data());
   return total;
 }
 
 std::size_t BlockCodec::record_size(std::span<const u8> in) const {
   return compressed_size(read_header(in));
+}
+
+bool BlockCodec::encode_blocks(std::span<const f32> data, f64 eps,
+                               std::vector<u8>& out, StreamStats& stats,
+                               const StopFn& stop) const {
+  const u32 L = config_.block_size;
+  CERESZ_CHECK(eps > 0.0, "BlockCodec::encode_blocks: eps must be positive");
+  const u64 n_blocks = (data.size() + L - 1) / L;
+  out.reserve(out.size() + n_blocks * max_compressed_size());
+  BlockScratch scratch(L);
+  StreamStats run;
+  for (u64 begin = 0; begin < data.size(); begin += L) {
+    if (stop && stop()) return false;
+    const u64 count = std::min<u64>(L, data.size() - begin);
+    const f32* block = data.data() + begin;
+    if (count < L) {
+      std::fill(scratch.tail(), scratch.tail() + L, 0.0f);
+      std::copy_n(block, count, scratch.tail());
+      block = scratch.tail();
+    }
+    const BlockInfo info =
+        encode(block, eps, scratch.abs(), scratch.signs(), out);
+    ++run.total_blocks;
+    if (info.zero_block) {
+      ++run.zero_blocks;
+      ++run.fl_histogram[0];
+    } else if (info.constant_block) {
+      ++run.constant_blocks;
+    } else {
+      run.max_fixed_length = std::max(run.max_fixed_length, info.fixed_length);
+      ++run.fl_histogram[info.fixed_length];
+    }
+  }
+  stats.merge(run);
+  return true;
+}
+
+std::optional<std::size_t> BlockCodec::decode_blocks(
+    std::span<const u8> in, f64 eps, std::span<f32> out,
+    const StopFn& stop) const {
+  const u32 L = config_.block_size;
+  BlockScratch scratch(L);
+  const std::span<f32> tail(scratch.tail(), L);
+  std::size_t pos = 0;
+  for (std::size_t done = 0; done < out.size(); done += L) {
+    if (stop && stop()) return std::nullopt;
+    CERESZ_CHECK(pos <= in.size(), "BlockCodec: stream ends before its last "
+                                   "block");
+    const std::size_t count = std::min<std::size_t>(L, out.size() - done);
+    if (count == L) {
+      pos += decompress(in.subspan(pos), eps, out.subspan(done, L));
+    } else {
+      pos += decompress(in.subspan(pos), eps, tail);
+      std::copy_n(tail.begin(), count, out.begin() + done);
+    }
+  }
+  return pos;
 }
 
 }  // namespace ceresz::core

@@ -1,15 +1,21 @@
 // Per-block compression/decompression: the complete three-stage CereSZ
-// kernel on one block of L floats. This is exactly the computation that a
-// pipeline (of whatever length) performs on one PE group; the stream codec
-// and the WSE mapping both delegate to it, so the bytes coming out of the
+// kernel on one block of L floats, and the one loop that runs it over a
+// span of blocks. This is exactly the computation that a pipeline (of
+// whatever length) performs on one PE group; the stream codec and the
+// parallel engine both run encode_blocks/decode_blocks, and the WSE
+// mapping is checked against them, so the bytes coming out of the
 // simulated wafer are bit-identical to the host codec's.
 #pragma once
 
+#include <array>
+#include <functional>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "common/types.h"
 #include "core/config.h"
+#include "core/kernels.h"
 
 namespace ceresz::core {
 
@@ -21,13 +27,39 @@ struct BlockInfo {
   u32 compressed_bytes = 0;
 };
 
+/// Aggregate statistics of one compression run.
+struct StreamStats {
+  u64 total_blocks = 0;
+  u64 zero_blocks = 0;
+  u64 constant_blocks = 0;  ///< constant-block shortcut hits (extension)
+  u32 max_fixed_length = 0;
+  f64 mean_fixed_length = 0.0;  ///< over non-zero blocks
+  std::array<u64, 33> fl_histogram{};  ///< count of blocks per fixed length
+
+  f64 zero_fraction() const {
+    return total_blocks == 0
+               ? 0.0
+               : static_cast<f64>(zero_blocks) / static_cast<f64>(total_blocks);
+  }
+
+  /// Add another run's counts. mean_fixed_length is recomputed from the
+  /// merged histogram, so merging runs in any grouping gives equal stats.
+  void merge(const StreamStats& other);
+};
+
+/// Polled before each block by the block loops; true stops the loop.
+using StopFn = std::function<bool()>;
+
 class BlockCodec {
  public:
   /// Header value marking a constant block (extension); valid fixed
   /// lengths are 0..32, so 33 is free on the wire.
   static constexpr u32 kConstantMarker = 33;
 
-  explicit BlockCodec(CodecConfig config);
+  /// `table` selects the kernels; tests and benches pass
+  /// scalar_kernels() to compare against the dispatched table.
+  explicit BlockCodec(CodecConfig config,
+                      const KernelTable& table = kernels());
 
   const CodecConfig& config() const { return config_; }
 
@@ -49,14 +81,34 @@ class BlockCodec {
                          std::span<f32> output) const;
 
   /// Parse only the header at `in` and return the full record size —
-  /// used to index a stream for parallel decoding. Throws if truncated.
+  /// used to index a stream's records. Throws if truncated.
   std::size_t record_size(std::span<const u8> in) const;
+
+  /// Compress `data` as consecutive blocks (a partial last block is
+  /// zero-padded), append the records to `out` and merge their counts
+  /// into `stats`. Returns false when `stop` fired first; `out` then
+  /// holds the records written so far and `stats` is unchanged.
+  bool encode_blocks(std::span<const f32> data, f64 eps,
+                     std::vector<u8>& out, StreamStats& stats,
+                     const StopFn& stop = {}) const;
+
+  /// Decode out.size() values from the records at the front of `in` (the
+  /// padding of a partial last block is dropped). Returns the bytes
+  /// consumed, or nullopt when `stop` fired first. Throws on a truncated
+  /// or corrupt record.
+  std::optional<std::size_t> decode_blocks(std::span<const u8> in, f64 eps,
+                                           std::span<f32> out,
+                                           const StopFn& stop = {}) const;
 
  private:
   u32 read_header(std::span<const u8> in) const;
-  void write_header(u32 fl, std::vector<u8>& out) const;
+  /// Encode one block of block_size floats; abs and signs are scratch of
+  /// block_size and block_size/8 entries.
+  BlockInfo encode(const f32* block, f64 eps, u32* abs, u8* signs,
+                   std::vector<u8>& out) const;
 
   CodecConfig config_;
+  const KernelTable* kernels_;
 };
 
 }  // namespace ceresz::core

@@ -41,7 +41,8 @@ struct ErrorBound {
 struct CodecConfig {
   /// Elements per block. The paper uses 32 (highest ratio among the options
   /// considered, and compatible with the 16/32-bit fabric transfer units).
-  /// Must be a positive multiple of 8 so sign bits pack into whole bytes.
+  /// Must be a positive multiple of 8 so sign bits pack into whole bytes,
+  /// and at most 65535 because the stream headers store it in 16 bits.
   u32 block_size = 32;
 
   /// Bytes used to store each block's fixed-length header. CereSZ uses 4
@@ -62,6 +63,9 @@ struct CodecConfig {
   void validate() const {
     CERESZ_CHECK(block_size >= 8 && block_size % 8 == 0,
                  "CodecConfig: block_size must be a positive multiple of 8");
+    CERESZ_CHECK(block_size <= 0xffff,
+                 "CodecConfig: block_size must fit the 16-bit stream header "
+                 "field (at most 65535)");
     CERESZ_CHECK(header_bytes == 1 || header_bytes == 2 || header_bytes == 4,
                  "CodecConfig: header_bytes must be 1, 2, or 4");
   }

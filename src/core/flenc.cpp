@@ -1,9 +1,9 @@
 #include "core/flenc.h"
 
 #include <bit>
-#include <cstring>
 
 #include "common/error.h"
+#include "core/kernels.h"
 
 namespace ceresz::core {
 
@@ -14,24 +14,12 @@ void split_sign(std::span<const i32> input, std::span<u32> abs_out,
                "split_sign: block size must be a multiple of 8");
   CERESZ_CHECK(sign_bytes.size() == input.size() / 8,
                "split_sign: sign buffer size mismatch");
-  std::memset(sign_bytes.data(), 0, sign_bytes.size());
-  for (std::size_t i = 0; i < input.size(); ++i) {
-    const i32 v = input[i];
-    if (v < 0) {
-      sign_bytes[i / 8] |= static_cast<u8>(1u << (i % 8));
-      abs_out[i] = static_cast<u32>(-static_cast<i64>(v));
-    } else {
-      abs_out[i] = static_cast<u32>(v);
-    }
-  }
+  kernels().split_sign(input.data(), abs_out.data(), sign_bytes.data(),
+                       input.size());
 }
 
 u32 block_max(std::span<const u32> abs_values) {
-  u32 m = 0;
-  for (u32 v : abs_values) {
-    if (v > m) m = v;
-  }
-  return m;
+  return kernels().block_max(abs_values.data(), abs_values.size());
 }
 
 u32 effective_bits(u32 value) {
@@ -45,22 +33,19 @@ void bit_shuffle_plane(std::span<const u32> abs_values, u32 bit,
   CERESZ_CHECK(plane_out.size() == abs_values.size() / 8,
                "bit_shuffle_plane: plane buffer size mismatch");
   CERESZ_CHECK(bit < 32, "bit_shuffle_plane: bit index out of range");
-  std::memset(plane_out.data(), 0, plane_out.size());
-  for (std::size_t j = 0; j < abs_values.size(); ++j) {
-    const u8 b = static_cast<u8>((abs_values[j] >> bit) & 1u);
-    plane_out[j / 8] |= static_cast<u8>(b << (j % 8));
-  }
+  kernels().bit_shuffle(abs_values.data(), abs_values.size(), bit, 1,
+                        plane_out.data());
 }
 
 void bit_shuffle(std::span<const u32> abs_values, u32 fixed_length,
                  std::span<u8> out) {
-  const std::size_t plane_bytes = abs_values.size() / 8;
-  CERESZ_CHECK(out.size() == plane_bytes * fixed_length,
+  CERESZ_CHECK(abs_values.size() % 8 == 0,
+               "bit_shuffle: block size must be a multiple of 8");
+  CERESZ_CHECK(fixed_length <= 32, "bit_shuffle: fixed length exceeds 32");
+  CERESZ_CHECK(out.size() == abs_values.size() / 8 * fixed_length,
                "bit_shuffle: output buffer size mismatch");
-  for (u32 k = 0; k < fixed_length; ++k) {
-    bit_shuffle_plane(abs_values, k,
-                      out.subspan(k * plane_bytes, plane_bytes));
-  }
+  kernels().bit_shuffle(abs_values.data(), abs_values.size(), 0, fixed_length,
+                        out.data());
 }
 
 void bit_unshuffle(std::span<const u8> planes, u32 fixed_length,
@@ -71,14 +56,8 @@ void bit_unshuffle(std::span<const u8> planes, u32 fixed_length,
   CERESZ_CHECK(planes.size() == plane_bytes * fixed_length,
                "bit_unshuffle: input buffer size mismatch");
   CERESZ_CHECK(fixed_length <= 32, "bit_unshuffle: fixed length exceeds 32");
-  for (auto& v : abs_out) v = 0;
-  for (u32 k = 0; k < fixed_length; ++k) {
-    const u8* plane = planes.data() + k * plane_bytes;
-    for (std::size_t j = 0; j < abs_out.size(); ++j) {
-      const u32 b = (plane[j / 8] >> (j % 8)) & 1u;
-      abs_out[j] |= b << k;
-    }
-  }
+  kernels().bit_unshuffle(planes.data(), abs_out.size(), fixed_length,
+                          abs_out.data());
 }
 
 void apply_sign(std::span<const u32> abs_values,
@@ -87,11 +66,10 @@ void apply_sign(std::span<const u32> abs_values,
                "apply_sign: size mismatch");
   CERESZ_CHECK(sign_bytes.size() == abs_values.size() / 8,
                "apply_sign: sign buffer size mismatch");
-  for (std::size_t i = 0; i < abs_values.size(); ++i) {
-    const bool negative = (sign_bytes[i / 8] >> (i % 8)) & 1u;
-    const i64 magnitude = static_cast<i64>(abs_values[i]);
-    output[i] = static_cast<i32>(negative ? -magnitude : magnitude);
-  }
+  CERESZ_CHECK(abs_values.size() % 8 == 0,
+               "apply_sign: block size must be a multiple of 8");
+  kernels().apply_sign(abs_values.data(), sign_bytes.data(), output.data(),
+                       abs_values.size());
 }
 
 }  // namespace ceresz::core

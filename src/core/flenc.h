@@ -20,7 +20,8 @@ namespace ceresz::core {
 
 /// Sub-stage "Sign": pack sign bits (1 = negative) into sign_bytes
 /// (input.size()/8 bytes, LSB-first within each byte) and write absolute
-/// values. |INT32_MIN| is rejected by prequant/lorenzo so abs is exact.
+/// values. Prequant and Lorenzo both admit INT32_MIN; its absolute value
+/// 2^31 is still exact because abs is computed in u32.
 void split_sign(std::span<const i32> input, std::span<u32> abs_out,
                 std::span<u8> sign_bytes);
 

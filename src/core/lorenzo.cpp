@@ -1,37 +1,18 @@
 #include "core/lorenzo.h"
 
-#include <limits>
-
 #include "common/error.h"
+#include "core/kernels.h"
 
 namespace ceresz::core {
 
 void lorenzo_forward(std::span<const i32> input, std::span<i32> output) {
   CERESZ_CHECK(input.size() == output.size(), "lorenzo_forward: size mismatch");
-  if (input.empty()) return;
-  i32 prev = input[0];
-  output[0] = prev;
-  for (std::size_t i = 1; i < input.size(); ++i) {
-    const i32 cur = input[i];
-    const i64 diff = static_cast<i64>(cur) - static_cast<i64>(prev);
-    CERESZ_CHECK(diff >= std::numeric_limits<i32>::min() &&
-                     diff <= std::numeric_limits<i32>::max(),
-                 "lorenzo_forward: difference overflows 32 bits");
-    output[i] = static_cast<i32>(diff);
-    prev = cur;
-  }
+  kernels().lorenzo_forward(input.data(), output.data(), input.size());
 }
 
 void lorenzo_inverse(std::span<const i32> input, std::span<i32> output) {
   CERESZ_CHECK(input.size() == output.size(), "lorenzo_inverse: size mismatch");
-  i64 acc = 0;
-  for (std::size_t i = 0; i < input.size(); ++i) {
-    acc += input[i];
-    CERESZ_CHECK(acc >= std::numeric_limits<i32>::min() &&
-                     acc <= std::numeric_limits<i32>::max(),
-                 "lorenzo_inverse: prefix sum overflows 32 bits");
-    output[i] = static_cast<i32>(acc);
-  }
+  kernels().lorenzo_inverse(input.data(), output.data(), input.size());
 }
 
 }  // namespace ceresz::core

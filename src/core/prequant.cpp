@@ -3,13 +3,11 @@
 #include <cmath>
 
 #include "common/error.h"
+#include "core/kernels.h"
 
 namespace ceresz::core {
 
 namespace {
-// The quantization arithmetic runs in double precision so the ε guarantee
-// of Section 3 is exact even at extreme magnitude ratios; the stored
-// quantized values are 32-bit integers as on the PE.
 constexpr f64 kMaxQuant = 2147483647.0;
 }  // namespace
 
@@ -37,21 +35,12 @@ void prequant_add_floor(std::span<const f64> scratch, std::span<i32> output) {
 void prequant(std::span<const f32> input, std::span<i32> output, f64 two_eps) {
   CERESZ_CHECK(input.size() == output.size(), "prequant: size mismatch");
   CERESZ_CHECK(two_eps > 0.0, "prequant: error bound must be positive");
-  const f64 recip = 1.0 / two_eps;
-  for (std::size_t i = 0; i < input.size(); ++i) {
-    const f64 rounded = std::floor(static_cast<f64>(input[i]) * recip + 0.5);
-    CERESZ_CHECK(rounded >= -kMaxQuant - 1.0 && rounded <= kMaxQuant,
-                 "prequant: quantized value exceeds 32 bits; the error bound "
-                 "is too small for this data's magnitude");
-    output[i] = static_cast<i32>(rounded);
-  }
+  kernels().prequant(input.data(), output.data(), input.size(), two_eps);
 }
 
 void dequant(std::span<const i32> input, std::span<f32> output, f64 two_eps) {
   CERESZ_CHECK(input.size() == output.size(), "dequant: size mismatch");
-  for (std::size_t i = 0; i < input.size(); ++i) {
-    output[i] = static_cast<f32>(static_cast<f64>(input[i]) * two_eps);
-  }
+  kernels().dequant(input.data(), output.data(), input.size(), two_eps);
 }
 
 }  // namespace ceresz::core

@@ -1,14 +1,9 @@
 #include "core/stream_codec.h"
 
-#include <algorithm>
 #include <cstring>
 
 #include "common/error.h"
 #include "common/stats.h"
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 namespace ceresz::core {
 
@@ -37,15 +32,17 @@ u64 read_u64(const u8* p) {
 
 }  // namespace
 
-StreamCodec::StreamCodec(CodecConfig config) : block_codec_(config) {}
+StreamCodec::StreamCodec(CodecConfig config, const KernelTable& table)
+    : block_codec_(config, table) {}
 
 CompressionResult StreamCodec::compress(std::span<const f32> data,
                                         ErrorBound bound) const {
   const CodecConfig& cfg = block_codec_.config();
   const u32 L = cfg.block_size;
 
-  const ArraySummary summary = summarize(data);
-  const f64 eps = bound.resolve(summary.range());
+  const f64 eps = bound.resolve(
+      bound.mode == ErrorBound::Mode::kAbsolute ? 0.0
+                                                : value_bounds(data).range());
 
   CompressionResult result;
   result.eps_abs = eps;
@@ -53,7 +50,7 @@ CompressionResult StreamCodec::compress(std::span<const f32> data,
 
   // Container header.
   auto& out = result.stream;
-  out.insert(out.end(), kMagic, kMagic + 4);
+  out.assign(kMagic, kMagic + 4);
   out.push_back(static_cast<u8>(cfg.header_bytes));
   out.push_back(cfg.zero_block_shortcut ? u8{1} : u8{0});
   append_u16(out, static_cast<u16>(L));
@@ -64,91 +61,7 @@ CompressionResult StreamCodec::compress(std::span<const f32> data,
   append_u64(out, eps_bits);
   CERESZ_CHECK(out.size() == header_size(), "StreamCodec: header size drift");
 
-  const u64 n_blocks = (data.size() + L - 1) / L;
-  result.stats.total_blocks = n_blocks;
-  if (n_blocks == 0) return result;
-
-  // Compress blocks in parallel chunks; each chunk encodes into its own
-  // buffer, spliced in order afterwards so the stream layout is identical
-  // regardless of thread count.
-  int n_threads = 1;
-#ifdef _OPENMP
-  n_threads = omp_get_max_threads();
-#endif
-  const u64 chunk_blocks =
-      std::max<u64>(1, (n_blocks + n_threads - 1) / n_threads);
-  const u64 n_chunks = (n_blocks + chunk_blocks - 1) / chunk_blocks;
-
-  std::vector<std::vector<u8>> chunk_bytes(n_chunks);
-  std::vector<StreamStats> chunk_stats(n_chunks);
-  std::vector<f64> chunk_fl_sum(n_chunks, 0.0);
-
-  // Exceptions may not escape an OpenMP region; capture the first one and
-  // rethrow after the join.
-  std::exception_ptr first_error;
-
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (i64 chunk = 0; chunk < static_cast<i64>(n_chunks); ++chunk) {
-    try {
-      const u64 first = static_cast<u64>(chunk) * chunk_blocks;
-      const u64 last = std::min(first + chunk_blocks, n_blocks);
-      auto& bytes = chunk_bytes[chunk];
-      auto& stats = chunk_stats[chunk];
-      bytes.reserve((last - first) * block_codec_.max_compressed_size());
-      std::vector<f32> padded(L);
-      for (u64 b = first; b < last; ++b) {
-        const u64 begin = b * L;
-        const u64 count = std::min<u64>(L, data.size() - begin);
-        std::span<const f32> block;
-        if (count == L) {
-          block = data.subspan(begin, L);
-        } else {
-          std::fill(padded.begin(), padded.end(), 0.0f);
-          std::copy_n(data.data() + begin, count, padded.begin());
-          block = padded;
-        }
-        const BlockInfo info = block_codec_.compress(block, eps, bytes);
-        ++stats.total_blocks;
-        if (info.zero_block) {
-          ++stats.zero_blocks;
-          ++stats.fl_histogram[0];
-        } else if (info.constant_block) {
-          ++stats.constant_blocks;
-        } else {
-          chunk_fl_sum[chunk] += info.fixed_length;
-          stats.max_fixed_length =
-              std::max(stats.max_fixed_length, info.fixed_length);
-          ++stats.fl_histogram[info.fixed_length];
-        }
-      }
-    } catch (...) {
-#ifdef _OPENMP
-#pragma omp critical
-#endif
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-
-  f64 fl_sum = 0.0;
-  u64 nonzero = 0;
-  for (u64 chunk = 0; chunk < n_chunks; ++chunk) {
-    out.insert(out.end(), chunk_bytes[chunk].begin(), chunk_bytes[chunk].end());
-    const auto& cs = chunk_stats[chunk];
-    result.stats.zero_blocks += cs.zero_blocks;
-    result.stats.constant_blocks += cs.constant_blocks;
-    result.stats.max_fixed_length =
-        std::max(result.stats.max_fixed_length, cs.max_fixed_length);
-    for (std::size_t i = 0; i < cs.fl_histogram.size(); ++i) {
-      result.stats.fl_histogram[i] += cs.fl_histogram[i];
-    }
-    fl_sum += chunk_fl_sum[chunk];
-    nonzero += cs.total_blocks - cs.zero_blocks - cs.constant_blocks;
-  }
-  result.stats.mean_fixed_length =
-      nonzero > 0 ? fl_sum / static_cast<f64>(nonzero) : 0.0;
+  block_codec_.encode_blocks(data, eps, out, result.stats);
   return result;
 }
 
@@ -190,37 +103,8 @@ std::vector<f32> StreamCodec::decompress(std::span<const u8> stream) const {
                "StreamCodec: corrupt header (element count exceeds what the "
                "stream could hold)");
 
-  // Index pass: block records have variable size, so walk the headers once
-  // to find every record offset, then decode in parallel.
-  std::vector<u64> offsets(n_blocks + 1);
-  u64 pos = header_size();
-  for (u64 b = 0; b < n_blocks; ++b) {
-    offsets[b] = pos;
-    pos += block_codec_.record_size(stream.subspan(pos));
-    CERESZ_CHECK(pos <= stream.size(), "StreamCodec: truncated stream");
-  }
-  offsets[n_blocks] = pos;
-
-  std::vector<f32> output(n_blocks * L);
-  std::exception_ptr first_error;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (i64 b = 0; b < static_cast<i64>(n_blocks); ++b) {
-    try {
-      std::span<f32> dst(output.data() + static_cast<u64>(b) * L, L);
-      block_codec_.decompress(
-          stream.subspan(offsets[b], offsets[b + 1] - offsets[b]), h.eps_abs,
-          dst);
-    } catch (...) {
-#ifdef _OPENMP
-#pragma omp critical
-#endif
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-  output.resize(h.element_count);
+  std::vector<f32> output(h.element_count);
+  block_codec_.decode_blocks(stream.subspan(header_size()), h.eps_abs, output);
   return output;
 }
 

@@ -6,7 +6,6 @@
 // integration tests assert.
 #pragma once
 
-#include <array>
 #include <span>
 #include <vector>
 
@@ -15,22 +14,6 @@
 #include "core/config.h"
 
 namespace ceresz::core {
-
-/// Aggregate statistics of one compression run.
-struct StreamStats {
-  u64 total_blocks = 0;
-  u64 zero_blocks = 0;
-  u64 constant_blocks = 0;  ///< constant-block shortcut hits (extension)
-  u32 max_fixed_length = 0;
-  f64 mean_fixed_length = 0.0;  ///< over non-zero blocks
-  std::array<u64, 33> fl_histogram{};  ///< count of blocks per fixed length
-
-  f64 zero_fraction() const {
-    return total_blocks == 0
-               ? 0.0
-               : static_cast<f64>(zero_blocks) / static_cast<f64>(total_blocks);
-  }
-};
 
 /// Result of StreamCodec::compress.
 struct CompressionResult {
@@ -48,7 +31,9 @@ struct CompressionResult {
 
 class StreamCodec {
  public:
-  explicit StreamCodec(CodecConfig config = {});
+  /// `table` selects the kernels (see BlockCodec).
+  explicit StreamCodec(CodecConfig config = {},
+                       const KernelTable& table = kernels());
 
   const CodecConfig& config() const { return block_codec_.config(); }
   const BlockCodec& block_codec() const { return block_codec_; }

@@ -52,7 +52,7 @@ CompressionResult Tiled2dCodec::compress(std::span<const f32> field,
   result.element_count = field.size();
 
   auto& out = result.stream;
-  out.insert(out.end(), kMagic, kMagic + 4);
+  out.assign(kMagic, kMagic + 4);
   out.push_back(static_cast<u8>(config_.header_bytes));
   out.push_back(config_.zero_block_shortcut ? u8{1} : u8{0});
   out.push_back(static_cast<u8>(config_.tile_w));

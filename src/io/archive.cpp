@@ -90,8 +90,7 @@ Archive Archive::compress_fields(const std::vector<data::Field>& fields,
 }
 
 std::vector<u8> Archive::serialize() const {
-  std::vector<u8> out;
-  out.insert(out.end(), kMagic, kMagic + 4);
+  std::vector<u8> out(kMagic, kMagic + 4);
   append_u32(out, kVersion);
   append_u32(out, static_cast<u32>(entries_.size()));
   for (const auto& entry : entries_) {

@@ -59,7 +59,7 @@ void write_container_prefix(std::vector<u8>& out, const ChunkedHeader& header,
                "chunk container: block size does not fit the u16 header "
                "field");
 
-  out.insert(out.end(), kMagic, kMagic + 4);
+  out.assign(kMagic, kMagic + 4);
   out.push_back(static_cast<u8>(header.version));
   out.push_back(static_cast<u8>(header.codec_header_bytes));
   append_u16(out, static_cast<u16>(header.block_size));

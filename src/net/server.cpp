@@ -11,6 +11,7 @@
 
 #include "common/error.h"
 #include "common/timer.h"
+#include "core/kernels.h"
 #include "engine/bounded_queue.h"
 #include "net/buffer_pool.h"
 #include "net/socket.h"
@@ -736,7 +737,8 @@ struct ServiceServer::Impl {
       options_.logger->info("server.started",
                             {{"port", listener_->port()},
                              {"workers", options_.workers},
-                             {"max_inflight", max_inflight_}});
+                             {"max_inflight", max_inflight_},
+                             {"kernel_isa", core::kernels().isa}});
     }
   }
 
@@ -800,6 +802,10 @@ ServiceServer::ServiceServer(ServerOptions options)
                "ServiceServer: max_frame_payload must be in (0, 1 GiB]");
   declare_server_metrics(registry_);
   engine::declare_engine_metrics(registry_);
+  registry_
+      .gauge(std::string(kMetricKernelIsa) + "{isa=\"" +
+             core::kernels().isa + "\"}")
+      .set(1.0);
 }
 
 ServiceServer::~ServiceServer() { stop(); }

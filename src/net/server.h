@@ -114,6 +114,9 @@ inline constexpr const char* kMetricDrainRejected =
 inline constexpr const char* kMetricDraining = "ceresz_server_draining";
 inline constexpr const char* kMetricTenantShed =
     "ceresz_server_tenant_shed_total";
+/// Info gauge (value 1) whose isa label names the host kernel table the
+/// codec runs: ceresz_codec_kernel_isa{isa="avx2"} or {isa="scalar"}.
+inline constexpr const char* kMetricKernelIsa = "ceresz_codec_kernel_isa";
 
 struct ServerOptions {
   /// Port to bind on 127.0.0.1; 0 binds an ephemeral port (read it back

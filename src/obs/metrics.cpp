@@ -282,7 +282,8 @@ std::string to_prometheus(const MetricsSnapshot& snap) {
     out += c.name + " " + std::to_string(c.value) + "\n";
   }
   for (const auto& g : snap.gauges) {
-    out += "# TYPE " + g.name + " gauge\n";
+    // A labelled name ("family{label=...}") declares its family.
+    out += "# TYPE " + g.name.substr(0, g.name.find('{')) + " gauge\n";
     out += g.name + " " + fmt_double(g.value) + "\n";
   }
   for (const auto& h : snap.histograms) {

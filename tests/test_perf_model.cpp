@@ -102,7 +102,7 @@ TEST(PerfModel, DegradedWithNoSurvivorsIsInfeasibleNotAnError) {
   // coordinator branches on `feasible` during admission and remapping.
   const PerfModel model(wse::WseConfig{});
   const PipelinePlan plan = plan_for(12, 1);
-  for (const auto [rows, pipes] : {std::pair<u32, u32>{0, 8}, {4, 0}, {0, 0}}) {
+  for (const auto& [rows, pipes] : {std::pair<u32, u32>{0, 8}, {4, 0}, {0, 0}}) {
     const auto p = model.predict_degraded(plan, rows, pipes, 1000, 32, 128);
     EXPECT_FALSE(p.feasible) << rows << "x" << pipes;
     EXPECT_EQ(p.throughput_gbps, 0.0);

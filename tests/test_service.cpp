@@ -5,17 +5,20 @@
 
 #include <atomic>
 #include <cstring>
+#include <sstream>
 #include <thread>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/timer.h"
+#include "core/kernels.h"
 #include "engine/parallel_engine.h"
 #include "net/buffer_pool.h"
 #include "net/client.h"
 #include "net/protocol.h"
 #include "net/server.h"
 #include "net/socket.h"
+#include "obs/log.h"
 #include "test_util.h"
 
 namespace ceresz::net {
@@ -290,6 +293,33 @@ TEST(Service, RoundTripMatchesLocalEngineByteForByte) {
   EXPECT_EQ(server.metrics().counter(kMetricCompressRequests).value(), 1u);
   EXPECT_EQ(server.metrics().counter(kMetricDecompressRequests).value(), 1u);
   EXPECT_EQ(server.metrics().counter(kMetricErrorResponses).value(), 0u);
+}
+
+TEST(Service, ReportsTheHostKernelTable) {
+  std::ostringstream log_text;
+  obs::LoggerOptions log_opt;
+  log_opt.sink = &log_text;
+  obs::Logger logger(log_opt);
+  ServerOptions opt = test_server();
+  opt.logger = &logger;
+  ServiceServer server(opt);
+  server.start();
+  server.stop();
+
+  const std::string isa = core::kernels().isa;
+  EXPECT_NE(log_text.str().find("\"kernel_isa\":\"" + isa + "\""),
+            std::string::npos)
+      << log_text.str();
+  const obs::MetricsSnapshot snap = server.metrics().snapshot();
+  EXPECT_EQ(snap.gauge_value(std::string(kMetricKernelIsa) + "{isa=\"" +
+                             isa + "\"}"),
+            1.0);
+  const std::string prom = obs::to_prometheus(snap);
+  EXPECT_NE(prom.find("# TYPE ceresz_codec_kernel_isa gauge\n"),
+            std::string::npos);
+  EXPECT_NE(prom.find("ceresz_codec_kernel_isa{isa=\"" + isa + "\"} 1\n"),
+            std::string::npos)
+      << prom;
 }
 
 TEST(Service, EmptyDataRoundTrip) {

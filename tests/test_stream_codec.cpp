@@ -105,6 +105,26 @@ TEST(StreamCodec, RejectsMismatchedConfig) {
   EXPECT_THROW(reader.decompress(result.stream), Error);
 }
 
+TEST(StreamCodec, BlockSizeMustFitTheSixteenBitHeaderField) {
+  // 65536 would be written as 0 in the 16-bit header field and come
+  // back as a stream the codec rejects, so validate() refuses it.
+  CodecConfig too_big;
+  too_big.block_size = 65536;
+  EXPECT_THROW(too_big.validate(), Error);
+  EXPECT_THROW(StreamCodec{too_big}, Error);
+
+  CodecConfig largest;
+  largest.block_size = 65528;  // largest multiple of 8 that fits
+  const StreamCodec codec(largest);
+  const auto data = test::smooth_signal(70000);
+  const auto back =
+      codec.decompress(codec.compress(data, ErrorBound::absolute(1e-3)).stream);
+  ASSERT_EQ(back.size(), data.size());
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    ASSERT_LE(std::abs(back[i] - data[i]), 1e-3 * 1.001) << i;
+  }
+}
+
 TEST(StreamCodec, RejectsTruncatedStream) {
   const StreamCodec codec;
   const auto data = test::smooth_signal(4096);

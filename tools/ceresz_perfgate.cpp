@@ -2,7 +2,7 @@
 // history records (bench/history JSONL) against a committed baseline
 // with per-metric noise bands.
 //
-//   ceresz_perfgate --baseline bench/history/baseline.jsonl \
+//   ceresz_perfgate --baseline bench/history/baseline.jsonl
 //                   --current run.jsonl [--hard-factor 3.0]
 //
 // Deviations within a metric's noise band pass; within band x
