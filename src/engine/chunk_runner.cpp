@@ -1,13 +1,11 @@
 #include "engine/chunk_runner.h"
 
 #include <algorithm>
-#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <thread>
 
 namespace ceresz::engine {
 
@@ -29,36 +27,51 @@ struct ChunkState {
   bool done = false;
   Outcome outcome = Outcome::kSuccess;
   std::string message;
-  clock::time_point started{};
   std::shared_ptr<CancelToken> cancel;
+  /// The running attempt's armed deadline, if it has one.
+  std::optional<DeadlineTimer::Handle> deadline;
 };
 
 // All mutable run state lives behind one mutex: worker tasks append to
-// `completions`, the watchdog cancels overdue attempts, and only the
-// calling thread makes retry/failure decisions. Heap-allocated and
-// shared with every task: a worker's final notify runs after it has
-// released the mutex, so the calling thread can observe the completion
-// and return from run() while that notify is still executing — each
-// task's shared_ptr keeps the condition variable alive through it.
+// `completions`, the deadline timer cancels overdue attempts, and only
+// the calling thread makes retry/failure decisions. Heap-allocated and
+// shared with every task and armed deadline: a worker's final notify
+// runs after it has released the mutex, and a timer callback can run
+// just after its attempt finished, so either may still touch the state
+// when run() returns.
 struct RunState {
   std::mutex mu;
   std::condition_variable cv;
   std::vector<ChunkState> states;
   std::deque<u64> completions;
+  u64 timeouts = 0;
+  u64 fallback_chunks = 0;
 };
 
 }  // namespace
 
-ChunkRunner::ChunkRunner(ThreadPool& pool, RetryPolicy policy)
-    : pool_(pool), policy_(policy) {
+ChunkRunner::ChunkRunner(TaskGroup& tasks, RetryPolicy policy,
+                         DeadlineTimer* timer)
+    : tasks_(tasks), policy_(policy), timer_(timer) {
   CERESZ_CHECK(policy_.max_attempts >= 1,
                "ChunkRunner: max_attempts must be at least 1");
 }
 
-RunReport ChunkRunner::run(u64 n_chunks, const ChunkFn& fn) {
+RunReport ChunkRunner::run(u64 n_chunks, const ChunkFn& fn,
+                           Deadline deadline) {
   RunReport report;
   if (n_chunks == 0) return report;
+  const bool timed = policy_.deadline_ms > 0 || deadline.has_value();
+  CERESZ_CHECK(!timed || timer_ != nullptr,
+               "ChunkRunner: a run with a deadline needs a DeadlineTimer");
 
+  // However run() exits, no attempt may outlive `fn`.
+  struct WaitForTasks {
+    TaskGroup& tasks;
+    ~WaitForTasks() { tasks.wait(); }
+  } wait_for_tasks{tasks_};
+
+  ThreadPool& pool = tasks_.pool();
   auto rs = std::make_shared<RunState>();
   rs->states.resize(n_chunks);
   std::multimap<clock::time_point, u64> retry_at;
@@ -68,7 +81,7 @@ RunReport ChunkRunner::run(u64 n_chunks, const ChunkFn& fn) {
   // the pool — and WorkerCrash only after the outcome is recorded.
   auto make_task = [&](u64 c, u32 attempt,
                        std::shared_ptr<CancelToken> cancel) {
-    return [&, rs, c, attempt, cancel = std::move(cancel)] {
+    return [&fn, &pool, rs, c, attempt, cancel = std::move(cancel)] {
       Outcome oc = Outcome::kSuccess;
       std::string message;
       bool crash = false;
@@ -98,6 +111,11 @@ RunReport ChunkRunner::run(u64 n_chunks, const ChunkFn& fn) {
         st.message = crash ? "chunk " + std::to_string(c) +
                                  ": worker thread crashed"
                            : std::move(message);
+        // A borrowed thread ran this attempt while the pool had no
+        // workers left: the degraded single-threaded mode.
+        if (!pool.current_worker() && pool.alive() == 0) {
+          ++rs->fallback_chunks;
+        }
         rs->completions.push_back(c);
       }
       rs->cv.notify_all();
@@ -105,9 +123,7 @@ RunReport ChunkRunner::run(u64 n_chunks, const ChunkFn& fn) {
     };
   };
 
-  // Start the next attempt at chunk `c`. Falls back to inline execution on
-  // the calling thread once the pool has collapsed; while the pool is
-  // merely saturated, helps drain it instead of blocking.
+  // Start the next attempt at chunk `c`, arming its deadline first.
   auto dispatch = [&](u64 c) {
     u32 attempt = 0;
     auto cancel = std::make_shared<CancelToken>();
@@ -116,71 +132,41 @@ RunReport ChunkRunner::run(u64 n_chunks, const ChunkFn& fn) {
       ChunkState& st = rs->states[c];
       attempt = st.attempts_started++;
       st.running = true;
-      st.started = clock::now();
       st.cancel = cancel;
     }
-    auto task = make_task(c, attempt, std::move(cancel));
-    for (;;) {
-      if (pool_.alive() == 0) {
-        {
-          std::lock_guard lock(rs->mu);
-          ++report.fallback_chunks;
-        }
-        try {
-          task();
-        } catch (const WorkerCrash&) {
-          // Inline execution borrows the caller's thread; nothing dies.
-        }
-        return;
+    if (timed) {
+      clock::time_point when = clock::time_point::max();
+      if (policy_.deadline_ms > 0) {
+        when = clock::now() + std::chrono::milliseconds(policy_.deadline_ms);
       }
-      if (pool_.try_submit(task)) return;
-      if (!pool_.run_one_inline()) std::this_thread::yield();
+      if (deadline) when = std::min(when, *deadline);
+      const DeadlineTimer::Handle handle =
+          timer_->arm(when, [rs, c, cancel] {
+            std::lock_guard lock(rs->mu);
+            ChunkState& st = rs->states[c];
+            if (st.running && st.cancel == cancel && !cancel->cancelled()) {
+              cancel->cancel();
+              ++rs->timeouts;
+            }
+          });
+      std::lock_guard lock(rs->mu);
+      rs->states[c].deadline = handle;
     }
+    tasks_.submit(make_task(c, attempt, std::move(cancel)));
   };
-
-  std::atomic<bool> stop_watchdog{false};
-  std::thread watchdog;
-  if (policy_.deadline_ms > 0) {
-    // The watchdog must be its own thread: the calling thread can be busy
-    // running attempts inline, and workers can all be stalled — neither
-    // may be relied on to notice a deadline.
-    watchdog = std::thread([&] {
-      const auto deadline = std::chrono::milliseconds(policy_.deadline_ms);
-      const auto tick =
-          std::chrono::milliseconds(std::max<u64>(1, policy_.deadline_ms / 4));
-      while (!stop_watchdog.load(std::memory_order_acquire)) {
-        std::this_thread::sleep_for(tick);
-        std::lock_guard lock(rs->mu);
-        const auto now = clock::now();
-        for (auto& st : rs->states) {
-          if (st.running && st.cancel && !st.cancel->cancelled() &&
-              now - st.started > deadline) {
-            st.cancel->cancel();
-            ++report.timeouts;
-          }
-        }
-      }
-    });
-  }
 
   for (u64 c = 0; c < n_chunks; ++c) dispatch(c);
 
   std::unique_lock lock(rs->mu);
   while (resolved < n_chunks) {
-    if (rs->completions.empty()) {
-      if (!retry_at.empty()) {
-        rs->cv.wait_until(lock, retry_at.begin()->first);
-      } else {
-        // Attempts are in flight; the timeout only guards against a pool
-        // that collapsed with work still queued.
-        rs->cv.wait_for(lock, std::chrono::milliseconds(10));
-      }
-    }
-
     while (!rs->completions.empty()) {
       const u64 c = rs->completions.front();
       rs->completions.pop_front();
       ChunkState& st = rs->states[c];
+      if (st.deadline) {
+        timer_->disarm(*st.deadline);
+        st.deadline.reset();
+      }
       if (st.done) continue;
       if (st.outcome == Outcome::kSuccess) {
         st.done = true;
@@ -216,19 +202,25 @@ RunReport ChunkRunner::run(u64 n_chunks, const ChunkFn& fn) {
       dispatch(c);
       lock.lock();
     }
+    if (resolved == n_chunks || !rs->completions.empty()) continue;
 
-    if (pool_.alive() == 0) {
-      // No worker will ever pop what is still queued; run it here.
-      lock.unlock();
-      while (pool_.run_one_inline()) {
-      }
-      lock.lock();
+    // Nothing to decide yet: run queued work here, or — once the queue
+    // is empty, so every attempt in flight is already running somewhere —
+    // sleep until one completes or the next retry is due.
+    lock.unlock();
+    const bool ran = pool.run_one_inline();
+    lock.lock();
+    if (ran) continue;
+    const auto completed = [&] { return !rs->completions.empty(); };
+    if (retry_at.empty()) {
+      rs->cv.wait(lock, completed);
+    } else {
+      rs->cv.wait_until(lock, retry_at.begin()->first, completed);
     }
   }
+  report.timeouts = rs->timeouts;
+  report.fallback_chunks = rs->fallback_chunks;
   lock.unlock();
-
-  stop_watchdog.store(true, std::memory_order_release);
-  if (watchdog.joinable()) watchdog.join();
 
   std::sort(
       report.failed.begin(), report.failed.end(),

@@ -1,19 +1,20 @@
-// Fault-tolerant chunk execution on a ThreadPool.
+// Fault-tolerant chunk execution on a (possibly shared) ThreadPool.
 //
-// ChunkRunner::run() dispatches one attempt per chunk and shepherds every
-// failure to a terminal state:
+// ChunkRunner::run() dispatches one attempt per chunk through the run's
+// TaskGroup and shepherds every failure to a terminal state:
 //   - transient failures (any std::exception, injected throws, crashed
 //     workers, timeouts) are retried with capped exponential backoff, up
 //     to RetryPolicy::max_attempts attempts per chunk;
 //   - PermanentChunkError skips the retry ladder entirely — it marks data
 //     that is wrong (bad CRC, undecodable record), which no retry fixes;
-//   - with deadline_ms > 0 a watchdog thread cancels attempts that outlive
-//     their deadline via the attempt's CancelToken (cooperative: chunk
-//     functions poll it between blocks);
+//   - an attempt with a deadline (RetryPolicy::deadline_ms after its
+//     start, capped by the run's absolute deadline) is cancelled by the
+//     owner's DeadlineTimer via the attempt's CancelToken (cooperative:
+//     chunk functions poll it between blocks);
 //   - a WorkerCrash kills its worker but not the run — survivors keep
-//     draining, and once the pool collapses (alive() == 0) the calling
-//     thread executes the remaining attempts inline, so the run always
-//     terminates with every chunk either succeeded or failed.
+//     draining, and the calling thread runs queued attempts itself while
+//     it waits, so even a fully collapsed pool finishes the run with
+//     every chunk either succeeded or failed.
 //
 // At most one attempt per chunk is ever in flight, so chunk functions may
 // write their output slot in place; a retry observes the previous attempt
@@ -23,12 +24,15 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/error.h"
 #include "common/types.h"
+#include "engine/deadline_timer.h"
 #include "engine/thread_pool.h"
 
 namespace ceresz::engine {
@@ -41,13 +45,17 @@ struct RetryPolicy {
   /// backoff_cap_us) microseconds.
   u64 backoff_us = 200;
   u64 backoff_cap_us = 5000;
-  /// Per-attempt deadline in milliseconds; 0 disables the watchdog.
+  /// Per-attempt deadline in milliseconds; 0 = none.
   u64 deadline_ms = 0;
 };
 
-/// Cooperative cancellation flag for one chunk attempt. The watchdog sets
-/// it; the chunk function polls it between blocks and aborts by throwing
-/// ChunkTimeout.
+/// Absolute deadline for a whole run (e.g. a service request's budget);
+/// nullopt = none. No attempt of the run may outlive it.
+using Deadline = std::optional<std::chrono::steady_clock::time_point>;
+
+/// Cooperative cancellation flag for one chunk attempt. The deadline
+/// timer sets it; the chunk function polls it between blocks and aborts
+/// by throwing ChunkTimeout.
 class CancelToken {
  public:
   void cancel() { cancelled_.store(true, std::memory_order_release); }
@@ -83,7 +91,7 @@ struct ChunkFailure {
 /// What happened during one run.
 struct RunReport {
   u64 retries = 0;         ///< re-dispatched attempts (beyond the first)
-  u64 timeouts = 0;        ///< attempts cancelled by the watchdog
+  u64 timeouts = 0;        ///< attempts cancelled at their deadline
   u64 worker_crashes = 0;  ///< attempts that took their worker down
   u64 fallback_chunks = 0; ///< attempts run inline after pool collapse
   std::vector<ChunkFailure> failed;  ///< terminally failed chunks, sorted
@@ -99,17 +107,20 @@ class ChunkRunner {
   using ChunkFn =
       std::function<void(u64 chunk, u32 attempt, const CancelToken& cancel)>;
 
-  ChunkRunner(ThreadPool& pool, RetryPolicy policy);
+  /// Attempts go to `tasks` (the run's group on its pool). `timer` cancels
+  /// overdue attempts; it may be null only when runs have no deadline.
+  ChunkRunner(TaskGroup& tasks, RetryPolicy policy, DeadlineTimer* timer);
 
   /// Run chunks [0, n_chunks) through `fn` until each one has either
-  /// succeeded or terminally failed. Never throws for chunk failures —
-  /// they come back in the report for the caller's policy (strict/lenient)
-  /// to apply.
-  RunReport run(u64 n_chunks, const ChunkFn& fn);
+  /// succeeded or terminally failed, then wait for the run's tasks to
+  /// finish. Never throws for chunk failures — they come back in the
+  /// report for the caller's policy (strict/lenient) to apply.
+  RunReport run(u64 n_chunks, const ChunkFn& fn, Deadline deadline = {});
 
  private:
-  ThreadPool& pool_;
+  TaskGroup& tasks_;
   RetryPolicy policy_;
+  DeadlineTimer* timer_;
 };
 
 }  // namespace ceresz::engine

@@ -49,15 +49,20 @@ struct EngineStats {
   u64 compressed_bytes = 0;
   f64 wall_seconds = 0.0;
 
-  /// Seconds each worker spent executing chunk tasks.
+  /// Seconds each pool worker spent executing this run's tasks (other
+  /// runs sharing the pool are not counted).
   std::vector<f64> worker_busy_seconds;
 
-  /// Largest backlog the bounded work queue ever reached.
+  /// Seconds this run's tasks ran inline, on the calling thread or on
+  /// another run's caller helping the shared pool.
+  f64 inline_busy_seconds = 0.0;
+
+  /// Largest number of this run's tasks waiting in the work queue at once.
   u64 queue_high_water = 0;
 
   // Fault-tolerance counters (all zero on a healthy run).
   u64 retries = 0;          ///< chunk attempts re-dispatched after a failure
-  u64 timeouts = 0;         ///< attempts cancelled by the deadline watchdog
+  u64 timeouts = 0;         ///< attempts cancelled at their deadline
   u64 worker_crashes = 0;   ///< worker threads lost mid-run
   u64 fallback_chunks = 0;  ///< attempts run inline after the pool collapsed
   u64 quarantined = 0;      ///< chunks that terminally failed and were
@@ -88,7 +93,7 @@ struct EngineStats {
   }
 
   f64 busy_seconds_total() const {
-    f64 sum = 0.0;
+    f64 sum = inline_busy_seconds;
     for (f64 s : worker_busy_seconds) sum += s;
     return sum;
   }
@@ -100,10 +105,11 @@ struct EngineStats {
                : 0.0;
   }
 
-  /// Fraction of worker-seconds spent busy: busy / (threads * wall).
+  /// Fraction of the run's thread-seconds spent busy: busy / ((threads
+  /// + 1) * wall), counting the pool's workers plus the calling thread.
   f64 worker_utilization() const {
-    return (threads > 0 && wall_seconds > 0.0)
-               ? busy_seconds_total() / (threads * wall_seconds)
+    return wall_seconds > 0.0
+               ? busy_seconds_total() / ((threads + 1) * wall_seconds)
                : 0.0;
   }
 

@@ -26,7 +26,7 @@ enum class WorkerFault : u8 {
 /// retry logic is tested with.
 struct WorkerFaultPlan {
   /// How long an injected kStall sleeps before proceeding with the real
-  /// work (unless the watchdog cancels it first).
+  /// work (unless its deadline cancels it first).
   u64 stall_ms = 50;
 
   bool empty() const { return faults_.empty(); }

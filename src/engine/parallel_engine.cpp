@@ -70,19 +70,20 @@ struct EngineMetrics {
     fallback_chunks.add(report.fallback_chunks);
   }
 
-  /// End-of-run gauges, set just before the snapshot is taken.
-  void finish(u32 thread_count, const ThreadPool& pool, f64 wall) {
+  /// End-of-run gauges, set just before the snapshot is taken. Only the
+  /// run's own tasks count, whatever else shares the pool.
+  void finish(u32 thread_count, const TaskGroup& tasks, f64 wall) {
     threads.set(thread_count);
-    queue_high_water.set(static_cast<f64>(pool.queue_high_water()));
+    queue_high_water.set(static_cast<f64>(tasks.queue_high_water()));
     wall_seconds.set(wall);
-    f64 busy = 0.0;
-    for (f64 s : pool.busy_seconds()) busy += s;
+    f64 busy = tasks.inline_busy_seconds();
+    for (f64 s : tasks.busy_seconds()) busy += s;
     busy_seconds.set(busy);
   }
 };
 
 /// Apply the injected fault (if any) for this attempt. kStall sleeps in
-/// cancellable 1 ms ticks; if the watchdog fires mid-stall the attempt
+/// cancellable 1 ms ticks; if the deadline passes mid-stall the attempt
 /// aborts with ChunkTimeout, otherwise it proceeds with the real work
 /// (modeling a worker that was slow, not broken).
 void maybe_inject(const WorkerFaultPlan& plan, u64 chunk, u32 attempt,
@@ -103,7 +104,7 @@ void maybe_inject(const WorkerFaultPlan& plan, u64 chunk, u32 attempt,
         if (cancel.cancelled()) {
           throw ChunkTimeout("injected stall at chunk " +
                              std::to_string(chunk) +
-                             " was cancelled by the watchdog");
+                             " was cancelled at its deadline");
         }
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
@@ -125,6 +126,10 @@ ParallelEngine::ParallelEngine(EngineOptions options)
   CERESZ_CHECK(options_.chunk_elems > 0 && options_.chunk_elems % L == 0,
                "ParallelEngine: chunk_elems must be a positive multiple of "
                "the block size");
+  timer_ = std::make_unique<DeadlineTimer>();
+  pool_ = std::make_unique<ThreadPool>(resolved_threads(),
+                                       options_.queue_capacity,
+                                       options_.tracer);
 }
 
 u32 ParallelEngine::resolved_threads() const {
@@ -137,7 +142,8 @@ bool ParallelEngine::is_chunked_stream(std::span<const u8> stream) {
 }
 
 EngineResult ParallelEngine::compress(std::span<const f32> data,
-                                      core::ErrorBound bound) const {
+                                      core::ErrorBound bound,
+                                      Deadline deadline) const {
   const core::CodecConfig& cfg = block_codec_.config();
   const u32 L = cfg.block_size;
   const u64 n = data.size();
@@ -152,7 +158,8 @@ EngineResult ParallelEngine::compress(std::span<const f32> data,
                           static_cast<i64>(n_chunks), "elements",
                           static_cast<i64>(n));
   const u32 threads = resolved_threads();
-  ThreadPool pool(threads, options_.queue_capacity, tracer);
+  pool_->respawn_crashed();
+  TaskGroup tasks(*pool_);
 
   std::mutex error_mutex;
   std::exception_ptr first_error;
@@ -172,7 +179,7 @@ EngineResult ParallelEngine::compress(std::span<const f32> data,
     obs::SpanGuard minmax_span(tracer, "engine.minmax", "engine");
     std::vector<f64> slice_min(n_chunks), slice_max(n_chunks);
     for (u64 c = 0; c < n_chunks; ++c) {
-      pool.submit([&, c] {
+      tasks.submit([&, c] {
         try {
           const u64 begin = c * C;
           const u64 end = std::min(n, begin + C);
@@ -184,7 +191,7 @@ EngineResult ParallelEngine::compress(std::span<const f32> data,
         }
       });
     }
-    pool.wait_idle();
+    tasks.wait();
     if (first_error) std::rethrow_exception(first_error);
     f64 lo = slice_min[0], hi = slice_max[0];
     for (u64 c = 1; c < n_chunks; ++c) {
@@ -199,7 +206,7 @@ EngineResult ParallelEngine::compress(std::span<const f32> data,
   // half-written slot; the payload bytes depend on chunk boundaries alone
   // — never on scheduling, retries, or which worker ran the chunk.
   std::vector<ChunkOutput> outs(n_chunks);
-  ChunkRunner runner(pool, options_.retry);
+  ChunkRunner runner(tasks, options_.retry, timer_.get());
   const RunReport report = runner.run(
       n_chunks, [&](u64 c, u32 attempt, const CancelToken& cancel) {
         const u64 attempt_start = now_ns();
@@ -232,11 +239,8 @@ EngineResult ParallelEngine::compress(std::span<const f32> data,
         }
         em.chunk_seconds.observe(static_cast<f64>(now_ns() - attempt_start) *
                                  1e-9);
-      });
-  // All chunks are resolved, but a worker's final busy/span accounting
-  // lands after it records the completion — wait for true idleness before
-  // reading the pool's counters (see ThreadPool::busy_seconds()).
-  pool.wait_idle();
+      },
+      deadline);
   // Compression has no lenient mode: the caller asked for a complete
   // container, and a chunk that exhausted its attempts means there is
   // none to give.
@@ -286,18 +290,20 @@ EngineResult ParallelEngine::compress(std::span<const f32> data,
   em.uncompressed_bytes.add(n * sizeof(f32));
   em.compressed_bytes.add(result.stream.size());
   em.merge(report);
-  em.finish(threads, pool, timer.seconds());
+  em.finish(threads, tasks, timer.seconds());
 
   const obs::MetricsSnapshot snap = reg.snapshot();
   const core::StreamStats stream_stats = result.stats.stream;
   result.stats = EngineStats::from_snapshot(snap);
   result.stats.stream = stream_stats;
-  result.stats.worker_busy_seconds = pool.busy_seconds();
+  result.stats.worker_busy_seconds = tasks.busy_seconds();
+  result.stats.inline_busy_seconds = tasks.inline_busy_seconds();
   if (options_.metrics) options_.metrics->accumulate(snap);
   return result;
 }
 
-DecompressResult ParallelEngine::decompress(std::span<const u8> stream) const {
+DecompressResult ParallelEngine::decompress(std::span<const u8> stream,
+                                            Deadline deadline) const {
   WallTimer timer;
   obs::Tracer* const tracer = options_.tracer;
   obs::MetricsRegistry reg;
@@ -322,7 +328,8 @@ DecompressResult ParallelEngine::decompress(std::span<const u8> stream) const {
   f32* out = result.values.data();
 
   const u32 threads = resolved_threads();
-  ThreadPool pool(threads, options_.queue_capacity, tracer);
+  pool_->respawn_crashed();
+  TaskGroup tasks(*pool_);
 
   // Each attempt decodes straight into its disjoint output range. Corrupt
   // data (CRC mismatch, undecodable record) throws PermanentChunkError —
@@ -330,7 +337,7 @@ DecompressResult ParallelEngine::decompress(std::span<const u8> stream) const {
   // timeouts go through the ChunkRunner retry ladder. A chunk that still
   // fails is quarantined below: zero-filled and reported in lenient mode,
   // fatal in strict mode.
-  ChunkRunner runner(pool, options_.retry);
+  ChunkRunner runner(tasks, options_.retry, timer_.get());
   const RunReport report = runner.run(
       parsed.entries.size(),
       [&](u64 c, u32 attempt, const CancelToken& cancel) {
@@ -375,11 +382,8 @@ DecompressResult ParallelEngine::decompress(std::span<const u8> stream) const {
         }
         em.chunk_seconds.observe(static_cast<f64>(now_ns() - attempt_start) *
                                  1e-9);
-      });
-
-  // See the matching wait in compress(): pool counters are only
-  // consistent once every worker has finished its post-task accounting.
-  pool.wait_idle();
+      },
+      deadline);
 
   for (const ChunkFailure& f : report.failed) {
     if (!options_.lenient) throw Error(f.message);
@@ -398,11 +402,12 @@ DecompressResult ParallelEngine::decompress(std::span<const u8> stream) const {
   em.uncompressed_bytes.add(n * sizeof(f32));
   em.compressed_bytes.add(stream.size());
   em.merge(report);
-  em.finish(threads, pool, timer.seconds());
+  em.finish(threads, tasks, timer.seconds());
 
   const obs::MetricsSnapshot snap = reg.snapshot();
   result.stats = EngineStats::from_snapshot(snap);
-  result.stats.worker_busy_seconds = pool.busy_seconds();
+  result.stats.worker_busy_seconds = tasks.busy_seconds();
+  result.stats.inline_busy_seconds = tasks.inline_busy_seconds();
   if (options_.metrics) options_.metrics->accumulate(snap);
   return result;
 }

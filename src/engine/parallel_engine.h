@@ -3,7 +3,7 @@
 // Splits input into fixed-size chunks (a multiple of the block size, so
 // each chunk's payload is bit-identical to the corresponding slice of the
 // single-stream core::StreamCodec output), compresses/decompresses them on
-// a worker pool fed by a bounded queue, and frames the results in the
+// the engine's worker pool, and frames the results in the
 // self-describing chunked container (io/chunk_container.h) with a chunk
 // table and per-chunk CRC32C. Output bytes are deterministic: chunk
 // boundaries depend only on chunk_elems, never on the thread count.
@@ -14,14 +14,24 @@
 // index is reported in DecompressResult::corrupt_chunks, and every other
 // chunk is still recovered.
 //
+// Runtime: the engine is long-lived. It builds one ThreadPool at
+// construction and every compress()/decompress() call — concurrent ones
+// included — runs on it. A call waits for its own tasks only (a
+// TaskGroup), and the calling thread runs queued work while it waits, so
+// a one-chunk call usually never leaves the caller. Per-attempt deadlines
+// share one timer thread, started by the first run that has a deadline.
+// docs/engine.md ("Engine runtime") has the details.
+//
 // Fault tolerance: chunk work runs through a ChunkRunner — transient
 // worker failures are retried with capped exponential backoff, stalled
-// attempts are cancelled by a deadline watchdog, crashed workers shrink
-// the pool without aborting the run, and a fully collapsed pool degrades
-// to single-threaded inline execution. Output bytes are unchanged by any
-// recovered fault; see docs/robustness.md.
+// attempts are cancelled at their deadline, crashed workers shrink the
+// pool without aborting the run (and are replaced before the next run),
+// and a fully collapsed pool degrades to inline execution on the caller.
+// Output bytes are unchanged by any recovered fault; see
+// docs/robustness.md.
 #pragma once
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -29,8 +39,10 @@
 #include "core/config.h"
 #include "core/stream_codec.h"
 #include "engine/chunk_runner.h"
+#include "engine/deadline_timer.h"
 #include "engine/engine_stats.h"
 #include "engine/fault_injection.h"
+#include "engine/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -100,22 +112,27 @@ struct DecompressResult {
 
 class ParallelEngine {
  public:
+  /// Starts the engine's worker pool (resolved_threads() workers).
   explicit ParallelEngine(EngineOptions options = {});
 
   const EngineOptions& options() const { return options_; }
 
-  /// Number of worker threads a run will actually use.
+  /// Number of workers in the engine's pool.
   u32 resolved_threads() const;
 
   /// Compress `data` under `bound` into a chunked container. Thread-safe:
-  /// each call builds its own worker pool.
-  EngineResult compress(std::span<const f32> data,
-                        core::ErrorBound bound) const;
+  /// concurrent calls share the engine's pool. With a `deadline`, no
+  /// chunk attempt outlives it (on top of EngineOptions::retry's
+  /// per-attempt deadline_ms); a run that cannot finish in time throws.
+  EngineResult compress(std::span<const f32> data, core::ErrorBound bound,
+                        Deadline deadline = {}) const;
 
   /// Decompress a chunked container produced by compress(). Throws on
   /// structural corruption (header/table), and on chunk corruption in
-  /// strict mode; see EngineOptions::lenient.
-  DecompressResult decompress(std::span<const u8> stream) const;
+  /// strict mode; see EngineOptions::lenient. `deadline` as for
+  /// compress(); in lenient mode a timed-out chunk is zero-filled.
+  DecompressResult decompress(std::span<const u8> stream,
+                              Deadline deadline = {}) const;
 
   /// Cheap magic sniff: true if `stream` is a chunked container (vs the
   /// legacy single-stream "CSZ1" format).
@@ -124,6 +141,8 @@ class ParallelEngine {
  private:
   EngineOptions options_;
   core::BlockCodec block_codec_;
+  std::unique_ptr<DeadlineTimer> timer_;
+  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace ceresz::engine

@@ -111,6 +111,7 @@ struct ServiceServer::Impl {
     FrameHeader header;
     PooledBuffer payload;
     u64 arrival_ns = 0;
+    bool holds_slot = true;  ///< still counted in inflight_
   };
 
   struct ReaderSlot {
@@ -122,6 +123,7 @@ struct ServiceServer::Impl {
       : server_(server),
         options_(server.options_),
         m_(server.registry_),
+        engine_(engine_options()),
         max_inflight_(max_inflight),
         pool_(options_.pool_buffers, &m_.pool_hits, &m_.pool_misses),
         queue_(static_cast<std::size_t>(max_inflight)) {
@@ -138,6 +140,9 @@ struct ServiceServer::Impl {
   ServiceServer& server_;
   const ServerOptions& options_;
   ServerMetrics m_;
+  // One engine, and so one worker pool and one deadline timer, for the
+  // server's whole run, shared by every connection worker.
+  const engine::ParallelEngine engine_;
   const u64 max_inflight_;
   BufferPool pool_;
   engine::BoundedQueue<PendingRequest> queue_;  // after pool_: drains first
@@ -151,6 +156,7 @@ struct ServiceServer::Impl {
   std::vector<ReaderSlot> readers_;
 
   std::atomic<u64> inflight_{0};
+  std::atomic<u64> handling_{0};  // requests a worker is handling
   std::atomic<u64> inflight_high_{0};
   std::atomic<bool> stopping_{false};
   std::atomic<bool> draining_{false};
@@ -430,11 +436,35 @@ struct ServiceServer::Impl {
 
   void worker_loop() {
     while (auto req = queue_.pop()) {
+      handling_.fetch_add(1, std::memory_order_acq_rel);
       handle(*req);
-      const u64 now_inflight =
-          inflight_.fetch_sub(1, std::memory_order_acq_rel) - 1;
-      m_.inflight.set(static_cast<f64>(now_inflight));
+      release_slot(*req);  // a no-op once handle() has responded
+      handling_.fetch_sub(1, std::memory_order_acq_rel);
     }
+  }
+
+  /// Free the request's in-flight slot. Done just before its response is
+  /// written, so a client that sends its next request as soon as it has
+  /// read this response is never refused for a request that is already
+  /// answered. wait_idle() still waits for the write through handling_.
+  void release_slot(PendingRequest& req) {
+    if (!req.holds_slot) return;
+    req.holds_slot = false;
+    const u64 now_inflight =
+        inflight_.fetch_sub(1, std::memory_order_acq_rel) - 1;
+    m_.inflight.set(static_cast<f64>(now_inflight));
+  }
+
+  void respond(PendingRequest& req, std::span<const u8> frame) {
+    release_slot(req);
+    send(*req.conn, frame);
+  }
+
+  void respond_error(PendingRequest& req, Status status,
+                     std::string_view message) {
+    release_slot(req);
+    send_error(*req.conn, req.header.opcode, status, req.header.request_id,
+               message, echo_meta(req.header));
   }
 
   /// Deadline for a request: its own deadline_ms, else the server
@@ -446,30 +476,25 @@ struct ServiceServer::Impl {
     return ms == 0 ? 0 : arrival_ns + static_cast<u64>(ms) * 1'000'000;
   }
 
-  /// Engine options for one request: metrics flow into the server
-  /// registry, and with a deadline the per-attempt watchdog is clamped
-  /// to the remaining budget so a wedged chunk is cancelled through its
-  /// CancelToken instead of wedging the connection.
-  engine::EngineOptions engine_options(u64 deadline_ns) const {
+  /// The server engine's options: metrics flow into the server
+  /// registry, and spans into the server tracer when there is one — chunk
+  /// and pool spans inherit each request's trace id through the ambient
+  /// context installed by handle().
+  engine::EngineOptions engine_options() const {
     engine::EngineOptions eopt = options_.engine;
     eopt.metrics = &server_.registry_;
-    if (options_.tracer != nullptr) {
-      // The per-request engine records into the server tracer; its
-      // chunk/pool spans inherit the request's trace id through the
-      // ambient context installed by handle().
-      eopt.tracer = options_.tracer;
-    }
-    if (deadline_ns != 0) {
-      const u64 now = now_ns();
-      const u64 remaining_ms =
-          deadline_ns > now ? std::max<u64>(1, (deadline_ns - now) / 1'000'000)
-                            : 1;
-      if (eopt.retry.deadline_ms == 0 ||
-          eopt.retry.deadline_ms > remaining_ms) {
-        eopt.retry.deadline_ms = remaining_ms;
-      }
-    }
+    if (options_.tracer != nullptr) eopt.tracer = options_.tracer;
     return eopt;
+  }
+
+  /// A request's deadline (0 = none) as the engine's run deadline: no
+  /// chunk attempt outlives it, so a wedged chunk is cancelled through
+  /// its CancelToken instead of wedging the connection. now_ns() reads
+  /// steady_clock, the engine's clock.
+  static engine::Deadline engine_deadline(u64 deadline_ns) {
+    if (deadline_ns == 0) return std::nullopt;
+    return std::chrono::steady_clock::time_point(
+        std::chrono::nanoseconds(deadline_ns));
   }
 
   void handle(PendingRequest& req) {
@@ -478,7 +503,6 @@ struct ServiceServer::Impl {
     const TenantTag tag = req.header.tenant;
     const TraceTag trace = req.header.trace;  // trace_id synthesized on admit
     const FrameMeta meta = echo_meta(req.header);
-    Connection& conn = *req.conn;
     obs::Histogram& latency = op == Opcode::kCompress
                                   ? m_.compress_seconds
                                   : m_.decompress_seconds;
@@ -567,24 +591,23 @@ struct ServiceServer::Impl {
         deadline_ns = deadline_ns_for(creq.deadline_ms, req.arrival_ns);
         if (deadline_ns != 0 && now_ns() >= deadline_ns) {
           m_.deadline_expired.add(1);
-          send_error(conn, op, Status::kDeadlineExpired, id,
-                     "request deadline expired before execution started",
-                     meta);
+          respond_error(req, Status::kDeadlineExpired,
+                        "request deadline expired before execution started");
           finish("DEADLINE_EXPIRED");
           return;
         }
-        const engine::ParallelEngine eng(engine_options(deadline_ns));
         engine::EngineResult result;
         {
           const obs::SpanGuard engine_span(options_.tracer, "server.engine",
                                            "server", "request_id",
                                            static_cast<i64>(id));
-          result = eng.compress(creq.data, creq.bound);
+          result = engine_.compress(creq.data, creq.bound,
+                                    engine_deadline(deadline_ns));
         }
         if (deadline_ns != 0 && now_ns() >= deadline_ns) {
           m_.deadline_expired.add(1);
-          send_error(conn, op, Status::kDeadlineExpired, id,
-                     "request deadline expired during compression", meta);
+          respond_error(req, Status::kDeadlineExpired,
+                        "request deadline expired during compression");
           finish("DEADLINE_EXPIRED");
           return;
         }
@@ -598,7 +621,7 @@ struct ServiceServer::Impl {
         const obs::SpanGuard write_span(options_.tracer, "server.write",
                                         "server", "request_id",
                                         static_cast<i64>(id));
-        send(conn, *out);
+        respond(req, *out);
       } else {
         DecompressRequest dreq;
         {
@@ -610,24 +633,23 @@ struct ServiceServer::Impl {
         deadline_ns = deadline_ns_for(dreq.deadline_ms, req.arrival_ns);
         if (deadline_ns != 0 && now_ns() >= deadline_ns) {
           m_.deadline_expired.add(1);
-          send_error(conn, op, Status::kDeadlineExpired, id,
-                     "request deadline expired before execution started",
-                     meta);
+          respond_error(req, Status::kDeadlineExpired,
+                        "request deadline expired before execution started");
           finish("DEADLINE_EXPIRED");
           return;
         }
-        const engine::ParallelEngine eng(engine_options(deadline_ns));
         engine::DecompressResult result;
         {
           const obs::SpanGuard engine_span(options_.tracer, "server.engine",
                                            "server", "request_id",
                                            static_cast<i64>(id));
-          result = eng.decompress(dreq.stream);
+          result = engine_.decompress(dreq.stream,
+                                      engine_deadline(deadline_ns));
         }
         if (deadline_ns != 0 && now_ns() >= deadline_ns) {
           m_.deadline_expired.add(1);
-          send_error(conn, op, Status::kDeadlineExpired, id,
-                     "request deadline expired during decompression", meta);
+          respond_error(req, Status::kDeadlineExpired,
+                        "request deadline expired during decompression");
           finish("DEADLINE_EXPIRED");
           return;
         }
@@ -643,7 +665,7 @@ struct ServiceServer::Impl {
         const obs::SpanGuard write_span(options_.tracer, "server.write",
                                         "server", "request_id",
                                         static_cast<i64>(id));
-        send(conn, *out);
+        respond(req, *out);
       }
     } catch (const Error& e) {
       // Map the failure the way the CLI maps exit codes: a passed
@@ -670,7 +692,7 @@ struct ServiceServer::Impl {
                                {"status", status_name(status)},
                                {"error", e.what()}});
       }
-      send_error(conn, op, status, id, e.what(), meta);
+      respond_error(req, status, e.what());
       finish(status_name(status));
       return;
     } catch (const std::exception& e) {
@@ -681,7 +703,7 @@ struct ServiceServer::Impl {
                                 {"status", "INTERNAL"},
                                 {"error", e.what()}});
       }
-      send_error(conn, op, Status::kInternal, id, e.what(), meta);
+      respond_error(req, Status::kInternal, e.what());
       finish("INTERNAL");
       return;
     }
@@ -760,7 +782,8 @@ struct ServiceServer::Impl {
     const u64 deadline =
         timeout_ms == 0 ? 0
                         : now_ns() + static_cast<u64>(timeout_ms) * 1'000'000;
-    while (inflight_.load(std::memory_order_acquire) != 0) {
+    while (inflight_.load(std::memory_order_acquire) != 0 ||
+           handling_.load(std::memory_order_acquire) != 0) {
       if (deadline != 0 && now_ns() >= deadline) return false;
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }

@@ -13,7 +13,7 @@
 //                     ▼
 //            BoundedQueue<PendingRequest>   (capacity = max in-flight)
 //                     ▼
-//          N connection-worker threads ──▶ engine::ParallelEngine
+//          N connection-worker threads ──▶ one shared engine::ParallelEngine
 //
 // Request/response payload buffers come from a memec-style BufferPool,
 // so steady-state traffic recycles its large buffers instead of
@@ -22,10 +22,10 @@
 // Deadlines: a request may carry deadline_ms (or inherit the server
 // default). The clock starts at frame arrival; a request whose deadline
 // passed while queued is answered DEADLINE_EXPIRED without touching the
-// engine, and one that makes it to a worker runs with the engine's
-// per-attempt watchdog clamped to the remaining budget — the watchdog
-// cancels a slow or wedged chunk through its CancelToken, so one bad
-// chunk can never wedge the connection (see engine/chunk_runner.h).
+// engine, and one that makes it to a worker passes its deadline to the
+// engine call — the engine's deadline timer cancels a slow or wedged
+// chunk through its CancelToken, so one bad chunk can never wedge the
+// connection (see engine/chunk_runner.h).
 //
 // Hostile-peer hardening: io_timeout_ms bounds every socket read and
 // write per call (a slow-loris peer dribbling header bytes, or one that
@@ -41,7 +41,7 @@
 // Observability: every counter/gauge/histogram below lands in the
 // server's MetricsRegistry (exported by the STATS opcode and the
 // daemon's --metrics-out flag), alongside the ceresz_engine_* families
-// the per-request engines accumulate into the same registry.
+// the server's engine accumulates into the same registry.
 #pragma once
 
 #include <memory>
@@ -124,12 +124,14 @@ struct ServerOptions {
   u16 port = 0;
 
   /// Connection-worker threads executing COMPRESS/DECOMPRESS requests.
-  /// Each runs the engine with EngineOptions::threads workers of its
-  /// own, so total parallelism is workers x engine threads.
+  /// They share the server's one engine: its EngineOptions::threads pool
+  /// workers, with each connection worker running queued chunks itself
+  /// while it waits for its own request's.
   u32 workers = 2;
 
-  /// Bound on requests admitted but not yet answered (queued +
-  /// executing). Beyond it new work is rejected with a BUSY error frame.
+  /// Bound on requests admitted and not yet answered (queued +
+  /// executing; a request's slot is freed just before its response is
+  /// written). Beyond it new work is rejected with a BUSY error frame.
   /// 0 picks 2 * workers.
   u64 max_inflight = 0;
 
@@ -159,11 +161,13 @@ struct ServerOptions {
   /// keep-alive convenience.
   u32 idle_timeout_ms = 0;
 
-  /// Engine configuration used for every request. `metrics` is
-  /// overridden to point at the server's registry; `tracer` is
-  /// overridden by the server-level `tracer` below when that is set.
-  /// `faults` is kept — chaos tests inject engine faults to exercise
-  /// the service's deadline/error paths.
+  /// Configuration of the server's one engine, built at start() and
+  /// shared by every request until stop(). `metrics` is overridden to
+  /// point at the server's registry; `tracer` is overridden by the
+  /// server-level `tracer` below when that is set. `faults` is kept —
+  /// chaos tests inject engine faults to exercise the service's
+  /// deadline/error paths. A request's deadline is passed per call, on
+  /// top of `retry.deadline_ms`.
   engine::EngineOptions engine;
 
   /// Distributed tracing (docs/observability.md). When set (and
@@ -171,8 +175,8 @@ struct ServerOptions {
   /// span tree — queue-wait / decode / admission / engine-run / encode /
   /// write — tagged with the request id, tenant id, and the trace
   /// context from the v4 frame header (v3 and zero-trace requests get a
-  /// synthesized server-side trace id). The per-request engine runs
-  /// record into the same tracer, so chunk spans inherit the trace id.
+  /// synthesized server-side trace id). The server's engine records
+  /// into the same tracer, so chunk spans inherit the trace id.
   obs::Tracer* tracer = nullptr;
 
   /// Structured JSON-lines log for server lifecycle and error paths
@@ -238,11 +242,13 @@ class ServiceServer {
   /// True once drain() has been called (and the server is running).
   bool draining() const;
 
-  /// Requests admitted but not yet answered (queued + executing).
+  /// Requests holding an in-flight slot (queued + executing; see
+  /// ServerOptions::max_inflight).
   u64 inflight() const;
 
-  /// Block until inflight() reaches 0 or `timeout_ms` passes (0 = wait
-  /// forever). Returns true when idle was reached.
+  /// Block until no request is queued, executing or having its response
+  /// written, or until `timeout_ms` passes (0 = wait forever). Returns
+  /// true when idle was reached.
   bool wait_idle(u32 timeout_ms);
 
   bool running() const { return running_.load(std::memory_order_acquire); }
@@ -253,7 +259,7 @@ class ServiceServer {
   u64 resolved_max_inflight() const;
 
   /// The server's registry: ceresz_server_* plus the ceresz_engine_*
-  /// families accumulated by per-request engine runs. Safe to snapshot
+  /// families accumulated by the server engine's runs. Safe to snapshot
   /// concurrently with serving.
   obs::MetricsRegistry& metrics() { return registry_; }
 

@@ -1,7 +1,6 @@
 #include "wse/wafer_sim.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "common/error.h"
 
@@ -85,13 +84,6 @@ void WaferSimulator::run_group_task(std::size_t i) {
     std::lock_guard lock(mu_);
     if (!first_error_) first_error_ = std::current_exception();
   }
-  // Notify while still holding the mutex: the waiter in run() may see
-  // remaining_ == 0 and destroy this WaferSimulator (and cv_) the moment
-  // it can reacquire mu_, so a notify after unlocking would race the
-  // condvar's destruction.
-  std::lock_guard lock(mu_);
-  --remaining_;
-  cv_.notify_all();
 }
 
 RunStats WaferSimulator::run() {
@@ -110,36 +102,13 @@ RunStats WaferSimulator::run() {
   }
 
   if (pool == nullptr || groups_.size() == 1) {
-    for (std::size_t i = 0; i < groups_.size(); ++i) {
-      remaining_ = 1;
-      run_group_task(i);
-    }
+    for (std::size_t i = 0; i < groups_.size(); ++i) run_group_task(i);
   } else {
-    {
-      std::lock_guard lock(mu_);
-      remaining_ = groups_.size();
-    }
+    engine::TaskGroup bands(*pool);
     for (std::size_t i = 0; i < groups_.size(); ++i) {
-      // Never the blocking submit(): a full queue (or a collapsed pool)
-      // means this thread runs the band itself, so sharing a pool with
-      // other submitters — including being *called from* one of its
-      // tasks — cannot deadlock.
-      if (!pool->try_submit([this, i] { run_group_task(i); })) {
-        run_group_task(i);
-      }
+      bands.submit([this, i] { run_group_task(i); });
     }
-    std::unique_lock lock(mu_);
-    while (remaining_ > 0) {
-      lock.unlock();
-      const bool ran_one = pool->run_one_inline();
-      lock.lock();
-      if (!ran_one && remaining_ > 0) {
-        // Queue momentarily empty: the outstanding bands are executing
-        // on workers. Their completion notifies; the timeout is a
-        // belt-and-suspenders bound, not a correctness requirement.
-        cv_.wait_for(lock, std::chrono::milliseconds(2));
-      }
-    }
+    bands.wait();
   }
   if (first_error_) std::rethrow_exception(first_error_);
 

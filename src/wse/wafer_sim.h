@@ -20,12 +20,12 @@
 // ids, are the same set.) tests/test_wafer_sim.cpp locks this in.
 //
 // Thread-pool reuse: the driver can borrow an existing engine::ThreadPool
-// (WaferSimOptions::pool) instead of spawning its own. It only ever uses
-// try_submit() — never the blocking submit() — and the waiting thread
-// helps drain the queue via run_one_inline(), so sharing a pool with the
-// compression engine (or invoking a simulation from inside a pool task,
-// as the tenant coordinator's request paths do) cannot deadlock, even on
-// a 1-worker pool. test_wafer_sim regression-tests exactly that.
+// (WaferSimOptions::pool) instead of spawning its own. Bands run as an
+// engine::TaskGroup, which never blocks on the queue and has the waiting
+// thread run queued work itself, so sharing a pool with the compression
+// engine (or invoking a simulation from inside a pool task, as the tenant
+// coordinator's request paths do) cannot deadlock, even on a 1-worker
+// pool. test_wafer_sim regression-tests exactly that.
 //
 // Fault storms: each band consults the full FaultPlan in global
 // coordinates, so a cross-row fault storm is exactly simulable — no
@@ -34,7 +34,6 @@
 // lease-local plans and is property-tested against this).
 #pragma once
 
-#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -153,9 +152,7 @@ class WaferSimulator {
   /// band so fabric spans inherit the originating request's trace id.
   obs::TraceContext run_ctx_;
 
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::size_t remaining_ = 0;
+  std::mutex mu_;  // guards first_error_
   std::exception_ptr first_error_;
 };
 

@@ -4,6 +4,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstring>
+#include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -11,6 +15,7 @@
 #include "common/error.h"
 #include "core/stream_codec.h"
 #include "engine/bounded_queue.h"
+#include "engine/fault_injection.h"
 #include "engine/thread_pool.h"
 #include "io/chunk_container.h"
 #include "test_util.h"
@@ -435,6 +440,189 @@ TEST(ThreadPool, WaitIdleIsReusable) {
     pool.wait_idle();
     EXPECT_EQ(count.load(), (round + 1) * 10);
   }
+}
+
+// --- long-lived runtime -----------------------------------------------------
+
+bool same_bits(const std::vector<f32>& a, const std::vector<f32>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(f32)) == 0;
+}
+
+/// The process's thread count from /proc/self/status, if readable.
+std::optional<int> process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return std::nullopt;
+}
+
+TEST(EngineRuntime, ConcurrentCallsOnOneEngineMatchTheSingleThreadReference) {
+  // 4 caller threads x 50 calls on one 4-worker engine, mixing a 1-chunk
+  // and a 32-chunk input: every stream is byte-identical to the 1-thread
+  // engine's, every decode bit-identical.
+  const auto small = test::smooth_signal(1024);
+  const auto large = test::smooth_signal(32 * 1024);
+  const auto bound = core::ErrorBound::relative(1e-3);
+  const ParallelEngine reference(small_chunks(1, 1024));
+  const auto small_ref = reference.compress(small, bound);
+  const auto large_ref = reference.compress(large, bound);
+  const auto small_back = reference.decompress(small_ref.stream).values;
+  const auto large_back = reference.decompress(large_ref.stream).values;
+
+  const ParallelEngine shared(small_chunks(4, 1024));
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 4; ++t) {
+    callers.emplace_back([&, t] {
+      for (int i = 0; i < 50; ++i) {
+        const bool big = (i + t) % 2 == 0;
+        const auto result = shared.compress(big ? large : small, bound);
+        if (result.stream != (big ? large_ref : small_ref).stream) {
+          ++mismatches;
+        }
+        const auto back = shared.decompress(result.stream);
+        if (!same_bits(back.values, big ? large_back : small_back)) {
+          ++mismatches;
+        }
+      }
+    });
+  }
+  for (auto& c : callers) c.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST(EngineRuntime, ThreadCountIsStableAcrossCalls) {
+  // The pool is built once and the deadline timer started once: calls
+  // after the first create no threads.
+  EngineOptions opt = small_chunks(3, 1024);
+  opt.retry.deadline_ms = 2000;
+  const ParallelEngine eng(opt);
+  const auto data = test::smooth_signal(8 * 1024);
+  const auto bound = core::ErrorBound::absolute(1e-3);
+  const auto first = eng.compress(data, bound);
+  const std::optional<int> before = process_threads();
+  if (!before) GTEST_SKIP() << "/proc/self/status is not available";
+  for (int i = 0; i < 100; ++i) {
+    if (i % 2 == 0) {
+      EXPECT_EQ(eng.compress(data, bound).stream, first.stream);
+    } else {
+      (void)eng.decompress(first.stream);
+    }
+  }
+  EXPECT_EQ(process_threads(), before);
+}
+
+/// Busy time booked to a run happened during that run: no worker can be
+/// busy longer than the run's wall time, and at most the two calling
+/// threads of the test below ran its tasks inline.
+void expect_busy_within_run(const EngineStats& s) {
+  ASSERT_EQ(s.worker_busy_seconds.size(), 2u);
+  for (const f64 busy : s.worker_busy_seconds) {
+    EXPECT_LE(busy, s.wall_seconds);
+  }
+  EXPECT_LE(s.inline_busy_seconds, 2.0 * s.wall_seconds);
+}
+
+TEST(EngineRuntime, ConcurrentRunsReportOnlyTheirOwnWork) {
+  // A long run keeps the shared pool's queue full while short runs come
+  // and go; each run's stats count its own chunks, queue backlog and
+  // busy time only.
+  const ParallelEngine eng(small_chunks(2, 1024));
+  const auto big = test::smooth_signal(256 * 1024);
+  const auto small = test::smooth_signal(2 * 1024);
+  const auto bound = core::ErrorBound::absolute(1e-3);
+
+  std::atomic<bool> big_done{false};
+  std::vector<EngineResult> big_runs;
+  std::thread long_caller([&] {
+    for (int i = 0; i < 3; ++i) big_runs.push_back(eng.compress(big, bound));
+    big_done = true;
+  });
+  int small_runs = 0;
+  do {
+    const auto r = eng.compress(small, bound);
+    ++small_runs;
+    EXPECT_EQ(r.stats.chunks, 2u);
+    EXPECT_EQ(r.stats.uncompressed_bytes, small.size() * sizeof(f32));
+    EXPECT_LE(r.stats.queue_high_water, 2u);
+    expect_busy_within_run(r.stats);
+  } while (!big_done.load() || small_runs < 5);
+  long_caller.join();
+
+  for (const EngineResult& r : big_runs) {
+    EXPECT_EQ(r.stats.chunks, 256u);
+    EXPECT_EQ(r.stats.uncompressed_bytes, big.size() * sizeof(f32));
+    expect_busy_within_run(r.stats);
+  }
+}
+
+TEST(EngineRuntime, CrashedWorkersAreReplacedForTheNextRun) {
+  // Chunks 8..15 crash their worker on the first attempt, so a 16-chunk
+  // run can take both workers down. The next (clean, 8-chunk) runs on the
+  // same engine must still execute on pool workers: nothing runs in the
+  // collapsed-pool fallback, and every worker slot does work. Chunks 0..7
+  // are slowed down (a stall without a deadline just sleeps) so the
+  // helping caller cannot finish a run before the workers wake up.
+  EngineOptions opt = small_chunks(2, 1024);
+  for (u64 c = 8; c < 16; ++c) opt.faults.crash_chunk(c, 0);
+  opt.faults.stall_ms = 5;
+  for (u64 c = 0; c < 8; ++c) opt.faults.stall_chunk(c);
+  const ParallelEngine eng(opt);
+  const auto bound = core::ErrorBound::absolute(1e-3);
+  const auto crashing = eng.compress(test::smooth_signal(16 * 1024), bound);
+  EXPECT_EQ(crashing.stats.worker_crashes, 8u);
+
+  const auto data = test::smooth_signal(8 * 1024);
+  std::vector<f64> busy(2, 0.0);
+  for (int run = 0; run < 20 && (busy[0] == 0.0 || busy[1] == 0.0); ++run) {
+    const auto clean = eng.compress(data, bound);
+    EXPECT_EQ(clean.stats.worker_crashes, 0u);
+    EXPECT_EQ(clean.stats.fallback_chunks, 0u);
+    ASSERT_EQ(clean.stats.worker_busy_seconds.size(), 2u);
+    for (std::size_t w = 0; w < 2; ++w) {
+      busy[w] += clean.stats.worker_busy_seconds[w];
+    }
+  }
+  EXPECT_GT(busy[0], 0.0);
+  EXPECT_GT(busy[1], 0.0);
+}
+
+TEST(EngineRuntime, DeadlineDoesNotDelayAFastRun) {
+  // A generous per-attempt deadline costs nothing when the work is fast:
+  // the run ends when its chunks do, not on a timer tick.
+  EngineOptions opt;
+  opt.retry.deadline_ms = 2000;
+  const ParallelEngine eng(opt);
+  const auto data = test::smooth_signal(64 * 1024);
+  const auto bound = core::ErrorBound::relative(1e-3);
+
+  auto start = std::chrono::steady_clock::now();
+  const auto result = eng.compress(data, bound);
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(50));
+
+  start = std::chrono::steady_clock::now();
+  (void)eng.decompress(result.stream);
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(50));
+}
+
+TEST(EngineRuntime, RunDeadlineCancelsStalledChunks) {
+  // The absolute deadline passed with the call bounds every attempt, on
+  // top of (here: without) RetryPolicy::deadline_ms.
+  EngineOptions opt = small_chunks(2, 1024);
+  opt.faults.stall_ms = 10000;
+  opt.faults.stall_chunk(1, 3);
+  const ParallelEngine eng(opt);
+  const auto data = test::smooth_signal(4 * 1024);
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW(eng.compress(data, core::ErrorBound::absolute(1e-3),
+                            start + std::chrono::milliseconds(50)),
+               Error);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
 }
 
 }  // namespace

@@ -441,6 +441,30 @@ TEST(Service, DeadlineExpiryProducesAnErrorFrameNotAHang) {
   EXPECT_FALSE(ok.empty());
 }
 
+TEST(Service, DefaultDeadlineDoesNotDelayAFastRequest) {
+  // A generous server-wide deadline costs nothing when the work is fast:
+  // the response is written when the engine finishes, not on a timer.
+  ServerOptions opt = test_server();
+  opt.engine.chunk_elems = 65536;
+  opt.default_deadline_ms = 2000;
+  ServiceServer server(std::move(opt));
+  server.start();
+
+  CereszClient client;
+  client.connect("127.0.0.1", server.port());
+  const auto data = test::smooth_signal(64 * 1024);
+  const auto bound = core::ErrorBound::relative(1e-3);
+  (void)client.compress(data, bound);  // warm-up
+
+  u64 t0 = now_ns();
+  const auto stream = client.compress(data, bound);
+  EXPECT_LT(static_cast<f64>(now_ns() - t0) * 1e-6, 50.0);
+  t0 = now_ns();
+  const auto values = client.decompress(stream);
+  EXPECT_LT(static_cast<f64>(now_ns() - t0) * 1e-6, 50.0);
+  EXPECT_EQ(values.size(), data.size());
+}
+
 TEST(Service, CorruptStreamGetsTypedErrorAndConnectionSurvives) {
   ServiceServer server(test_server());
   server.start();

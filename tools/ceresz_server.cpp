@@ -74,8 +74,8 @@ int usage() {
       "                    (default 2 x workers)\n"
       "  --deadline-ms D   default per-request deadline for requests that\n"
       "                    do not carry one (default 0 = none)\n"
-      "  --threads T       engine worker threads per request (default:\n"
-      "                    hardware concurrency)\n"
+      "  --threads T       worker threads of the server's engine, shared\n"
+      "                    by all requests (default: hardware concurrency)\n"
       "  --chunk-elems E   engine chunk size in elements (multiple of 32)\n"
       "  --max-frame-mb MB reject frames declaring a larger payload\n"
       "                    (default 1024)\n"
