@@ -39,6 +39,14 @@ void BM_Prequant(benchmark::State& state, const KernelTable* k) {
   state.SetBytesProcessed(state.iterations() * data.size() * sizeof(f32));
 }
 
+void BM_ValueBounds(benchmark::State& state, const KernelTable* k) {
+  const auto data = bench_data(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(k->value_bounds(data.data(), data.size()));
+  }
+  state.SetBytesProcessed(state.iterations() * data.size() * sizeof(f32));
+}
+
 void BM_LorenzoForward(benchmark::State& state, const KernelTable* k) {
   std::vector<i32> data(static_cast<std::size_t>(state.range(0)));
   Rng rng(3);
@@ -78,6 +86,24 @@ void BM_BlockCompress(benchmark::State& state, const KernelTable* k) {
   state.SetBytesProcessed(state.iterations() * 128);
 }
 
+/// One engine chunk (64 Ki elements) through encode_blocks: against
+/// BM_BlockCompress (one block per call) it shows the block loop's own
+/// cost per block.
+void BM_EncodeBlocks(benchmark::State& state, const KernelTable* k) {
+  const core::BlockCodec codec{core::CodecConfig{}, *k};
+  const auto data = bench_data(std::size_t{1} << 16);
+  std::vector<u8> out;
+  for (auto _ : state) {
+    out.clear();
+    core::StreamStats stats;
+    codec.encode_blocks(data, 1e-3, out, stats);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * data.size() * sizeof(f32));
+  state.SetItemsProcessed(state.iterations() * data.size() / 32);
+}
+
 void BM_StreamCompress(benchmark::State& state, const KernelTable* k) {
   const core::StreamCodec codec{core::CodecConfig{}, *k};
   const auto data = bench_data(static_cast<std::size_t>(state.range(0)));
@@ -105,6 +131,9 @@ void register_all(const KernelTable& k) {
   };
   benchmark::RegisterBenchmark(name("BM_Prequant").c_str(), BM_Prequant, &k)
       ->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
+  benchmark::RegisterBenchmark(name("BM_ValueBounds").c_str(),
+                               BM_ValueBounds, &k)
+      ->Arg(1 << 16)->Arg(1 << 21);
   benchmark::RegisterBenchmark(name("BM_LorenzoForward").c_str(),
                                BM_LorenzoForward, &k)
       ->Arg(1 << 16)->Arg(1 << 20);
@@ -113,6 +142,8 @@ void register_all(const KernelTable& k) {
       ->Arg(4)->Arg(12)->Arg(17)->Arg(32);
   benchmark::RegisterBenchmark(name("BM_BlockCompress").c_str(),
                                BM_BlockCompress, &k);
+  benchmark::RegisterBenchmark(name("BM_EncodeBlocks").c_str(),
+                               BM_EncodeBlocks, &k);
   benchmark::RegisterBenchmark(name("BM_StreamCompress").c_str(),
                                BM_StreamCompress, &k)
       ->Arg(1 << 16)->Arg(1 << 20);

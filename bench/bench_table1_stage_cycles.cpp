@@ -28,7 +28,7 @@ StageMax profile_dataset(data::DatasetId id, f64 rel) {
     const data::Field field =
         data::generate_field(id, fi, 42, bench::bench_scale(0.35));
     const f64 eps = core::ErrorBound::relative(rel).resolve(
-        summarize(field.view()).range());
+        core::value_bounds(field.view()).range());
     const mapping::SubStageExecutor exec(codec, cost, eps);
     const u64 blocks = field.size() / 32;
     for (u64 b = 0; b < blocks; ++b) {

@@ -21,7 +21,7 @@ int main() {
     const data::Field field =
         data::generate_field(id, 0, 42, bench::bench_scale(0.35));
     const f64 eps = core::ErrorBound::relative(1e-4).resolve(
-        summarize(field.view()).range());
+        core::value_bounds(field.view()).range());
     const mapping::SubStageExecutor exec(codec, cost, eps);
     Cycles mul_max = 0, add_max = 0;
     const u64 blocks = field.size() / 32;

@@ -22,7 +22,7 @@ int main() {
     const data::Field field =
         data::generate_field(id, 0, 42, bench::bench_scale(0.35));
     const f64 eps = core::ErrorBound::relative(1e-4).resolve(
-        summarize(field.view()).range());
+        core::value_bounds(field.view()).range());
     const mapping::SubStageExecutor exec(codec, cost, eps);
     Cycles sign_max = 0, max_max = 0, len_max = 0, shuffle_max = 0;
     u32 fl_at_max = 0;

@@ -6,7 +6,7 @@
 #include "baselines/lorenzo_nd.h"
 #include "common/bitio.h"
 #include "common/error.h"
-#include "common/stats.h"
+#include "core/kernels.h"
 #include "core/prequant.h"
 #include "huffman/huffman.h"
 
@@ -44,7 +44,7 @@ std::vector<u8> CuszCompressor::compress(const data::Field& field,
   CERESZ_CHECK(shape.size() == values.size(),
                "CuszCompressor: dims do not match data size");
 
-  const f64 eps = bound.resolve(summarize(values).range());
+  const f64 eps = bound.resolve(core::value_bounds(values).range());
 
   // Dual-quant step 1: pre-quantize the whole field (lossy, ε-bounded).
   std::vector<i32> quant(values.size());

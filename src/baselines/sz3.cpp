@@ -7,7 +7,7 @@
 #include "baselines/lorenzo_nd.h"
 #include "common/bitio.h"
 #include "common/error.h"
-#include "common/stats.h"
+#include "core/kernels.h"
 #include "huffman/huffman.h"
 
 namespace ceresz::baselines {
@@ -44,7 +44,7 @@ std::vector<u8> Sz3Compressor::compress(const data::Field& field,
   CERESZ_CHECK(shape.size() == values.size(),
                "Sz3Compressor: dims do not match data size");
 
-  const f64 eps = bound.resolve(summarize(values).range());
+  const f64 eps = bound.resolve(core::value_bounds(values).range());
   const f64 two_eps = 2.0 * eps;
   const u32 escape = 2 * radius_;  // symbol marking an outlier
 

@@ -28,17 +28,6 @@ ArraySummary summarize(std::span<const f32> values) {
   return s;
 }
 
-ValueBounds value_bounds(std::span<const f32> values) {
-  if (values.empty()) return {};
-  f32 lo = values[0];
-  f32 hi = values[0];
-  for (f32 v : values) {
-    lo = v < lo ? v : lo;
-    hi = v > hi ? v : hi;
-  }
-  return {lo, hi};
-}
-
 f64 max_abs_diff(std::span<const f32> a, std::span<const f32> b) {
   CERESZ_CHECK(a.size() == b.size(), "max_abs_diff: size mismatch");
   f64 worst = 0.0;

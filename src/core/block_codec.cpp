@@ -1,6 +1,7 @@
 #include "core/block_codec.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "common/error.h"
@@ -13,6 +14,45 @@ namespace {
 /// Blocks up to this many elements keep their working memory on the
 /// stack.
 constexpr u32 kStackElems = 1024;
+
+/// Elements per batch of the block loops: 2048 rounded down to whole
+/// blocks, and at least one block. `out` grows and `stop` is polled once
+/// per batch.
+u64 batch_elems(u32 block_size) {
+  return std::max<u64>(1, 2048 / block_size) * block_size;
+}
+
+/// Writes `v` little-endian into p[0..4).
+void store_le32(u8* p, u32 v) {
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap32(v);
+  }
+  std::memcpy(p, &v, sizeof(v));
+}
+
+/// Appends block records to `out` through a raw cursor. make_room() grows
+/// `out` ahead of the committed records; the destructor trims it back to
+/// them, so however the writer's scope ends (done, stopped or thrown)
+/// `out` holds whole records only.
+class RecordWriter {
+ public:
+  explicit RecordWriter(std::vector<u8>& out) : out_(out), end_(out.size()) {}
+  RecordWriter(const RecordWriter&) = delete;
+  RecordWriter& operator=(const RecordWriter&) = delete;
+  ~RecordWriter() { out_.resize(end_); }
+
+  /// Make `bytes` bytes writable at cursor().
+  void make_room(std::size_t bytes) {
+    if (out_.size() < end_ + bytes) out_.resize(end_ + bytes);
+  }
+  u8* cursor() { return out_.data() + end_; }
+  /// The `bytes` at cursor() are a whole record.
+  void commit(std::size_t bytes) { end_ += bytes; }
+
+ private:
+  std::vector<u8>& out_;
+  std::size_t end_;
+};
 
 /// Working memory of the block kernels: |residuals|, sign bytes and a
 /// zero-padded partial block. On the stack up to kStackElems elements;
@@ -92,7 +132,7 @@ u32 BlockCodec::read_header(std::span<const u8> in) const {
 }
 
 BlockInfo BlockCodec::encode(const f32* block, f64 eps, u32* abs, u8* signs,
-                             std::vector<u8>& out) const {
+                             u8* record) const {
   const u32 L = config_.block_size;
   const u32 bits = kernels_->encode_block(block, L, 2.0 * eps, abs, signs);
 
@@ -117,24 +157,17 @@ BlockInfo BlockCodec::encode(const f32* block, f64 eps, u32* abs, u8* signs,
 
   // Little-endian, header_bytes wide. fl <= 33 always fits in one byte;
   // CereSZ pads to 4 bytes to honor the fabric's 32-bit transfer units.
-  const std::size_t size = compressed_size(header);
-  const std::size_t at = out.size();
-  out.resize(at + size);
-  u8* record = out.data() + at;
-  for (u32 b = 0; b < config_.header_bytes; ++b) {
-    record[b] = static_cast<u8>((header >> (8 * b)) & 0xff);
-  }
+  // One 4-byte store: `record` has room for a whole record of fl 32, and
+  // the bytes past header_bytes belong to whatever is written next.
+  store_le32(record, header);
   u8* body = record + config_.header_bytes;
   if (info.constant_block) {
-    const u32 value = (signs[0] & 1u) != 0 ? 0u - abs[0] : abs[0];
-    for (int b = 0; b < 4; ++b) {
-      body[b] = static_cast<u8>((value >> (8 * b)) & 0xff);
-    }
+    store_le32(body, (signs[0] & 1u) != 0 ? 0u - abs[0] : abs[0]);
   } else if (!info.zero_block) {
     std::memcpy(body, signs, L / 8);
     kernels_->bit_shuffle(abs, L, 0, info.fixed_length, body + L / 8);
   }
-  info.compressed_bytes = static_cast<u32>(size);
+  info.compressed_bytes = static_cast<u32>(compressed_size(header));
   return info;
 }
 
@@ -144,7 +177,12 @@ BlockInfo BlockCodec::compress(std::span<const f32> input, f64 eps,
   CERESZ_CHECK(input.size() == L, "BlockCodec::compress: wrong block size");
   CERESZ_CHECK(eps > 0.0, "BlockCodec::compress: eps must be positive");
   BlockScratch scratch(L);
-  return encode(input.data(), eps, scratch.abs(), scratch.signs(), out);
+  RecordWriter writer(out);
+  writer.make_room(max_compressed_size());
+  const BlockInfo info = encode(input.data(), eps, scratch.abs(),
+                                scratch.signs(), writer.cursor());
+  writer.commit(info.compressed_bytes);
+  return info;
 }
 
 std::size_t BlockCodec::decompress(std::span<const u8> in, f64 eps,
@@ -187,29 +225,37 @@ bool BlockCodec::encode_blocks(std::span<const f32> data, f64 eps,
   const u32 L = config_.block_size;
   CERESZ_CHECK(eps > 0.0, "BlockCodec::encode_blocks: eps must be positive");
   const u64 n_blocks = (data.size() + L - 1) / L;
+  const u64 batch = batch_elems(L);
   out.reserve(out.size() + n_blocks * max_compressed_size());
   BlockScratch scratch(L);
+  RecordWriter writer(out);
   StreamStats run;
-  for (u64 begin = 0; begin < data.size(); begin += L) {
+  for (u64 first = 0; first < data.size(); first += batch) {
     if (stop && stop()) return false;
-    const u64 count = std::min<u64>(L, data.size() - begin);
-    const f32* block = data.data() + begin;
-    if (count < L) {
-      std::fill(scratch.tail(), scratch.tail() + L, 0.0f);
-      std::copy_n(block, count, scratch.tail());
-      block = scratch.tail();
-    }
-    const BlockInfo info =
-        encode(block, eps, scratch.abs(), scratch.signs(), out);
-    ++run.total_blocks;
-    if (info.zero_block) {
-      ++run.zero_blocks;
-      ++run.fl_histogram[0];
-    } else if (info.constant_block) {
-      ++run.constant_blocks;
-    } else {
-      run.max_fixed_length = std::max(run.max_fixed_length, info.fixed_length);
-      ++run.fl_histogram[info.fixed_length];
+    const u64 batch_end = std::min<u64>(data.size(), first + batch);
+    writer.make_room((batch_end - first + L - 1) / L * max_compressed_size());
+    for (u64 begin = first; begin < batch_end; begin += L) {
+      const u64 count = std::min<u64>(L, batch_end - begin);
+      const f32* block = data.data() + begin;
+      if (count < L) {
+        std::fill(scratch.tail(), scratch.tail() + L, 0.0f);
+        std::copy_n(block, count, scratch.tail());
+        block = scratch.tail();
+      }
+      const BlockInfo info = encode(block, eps, scratch.abs(), scratch.signs(),
+                                    writer.cursor());
+      writer.commit(info.compressed_bytes);
+      ++run.total_blocks;
+      if (info.zero_block) {
+        ++run.zero_blocks;
+        ++run.fl_histogram[0];
+      } else if (info.constant_block) {
+        ++run.constant_blocks;
+      } else {
+        run.max_fixed_length =
+            std::max(run.max_fixed_length, info.fixed_length);
+        ++run.fl_histogram[info.fixed_length];
+      }
     }
   }
   stats.merge(run);
@@ -220,19 +266,23 @@ std::optional<std::size_t> BlockCodec::decode_blocks(
     std::span<const u8> in, f64 eps, std::span<f32> out,
     const StopFn& stop) const {
   const u32 L = config_.block_size;
+  const u64 batch = batch_elems(L);
   BlockScratch scratch(L);
   const std::span<f32> tail(scratch.tail(), L);
   std::size_t pos = 0;
-  for (std::size_t done = 0; done < out.size(); done += L) {
+  for (u64 first = 0; first < out.size(); first += batch) {
     if (stop && stop()) return std::nullopt;
-    CERESZ_CHECK(pos <= in.size(), "BlockCodec: stream ends before its last "
-                                   "block");
-    const std::size_t count = std::min<std::size_t>(L, out.size() - done);
-    if (count == L) {
-      pos += decompress(in.subspan(pos), eps, out.subspan(done, L));
-    } else {
-      pos += decompress(in.subspan(pos), eps, tail);
-      std::copy_n(tail.begin(), count, out.begin() + done);
+    const u64 batch_end = std::min<u64>(out.size(), first + batch);
+    for (u64 done = first; done < batch_end; done += L) {
+      CERESZ_CHECK(pos <= in.size(), "BlockCodec: stream ends before its "
+                                     "last block");
+      const u64 count = std::min<u64>(L, batch_end - done);
+      if (count == L) {
+        pos += decompress(in.subspan(pos), eps, out.subspan(done, L));
+      } else {
+        pos += decompress(in.subspan(pos), eps, tail);
+        std::copy_n(tail.begin(), count, out.begin() + done);
+      }
     }
   }
   return pos;

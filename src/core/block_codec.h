@@ -47,7 +47,8 @@ struct StreamStats {
   void merge(const StreamStats& other);
 };
 
-/// Polled before each block by the block loops; true stops the loop.
+/// Polled by the block loops once per batch of blocks (2048 elements, 64
+/// blocks at L = 32: a few µs of work); true stops the loop.
 using StopFn = std::function<bool()>;
 
 class BlockCodec {
@@ -62,6 +63,7 @@ class BlockCodec {
                       const KernelTable& table = kernels());
 
   const CodecConfig& config() const { return config_; }
+  const KernelTable& table() const { return *kernels_; }
 
   /// Compressed size of a block with fixed length `fl` (0 for zero blocks).
   std::size_t compressed_size(u32 fl) const;
@@ -86,8 +88,10 @@ class BlockCodec {
 
   /// Compress `data` as consecutive blocks (a partial last block is
   /// zero-padded), append the records to `out` and merge their counts
-  /// into `stats`. Returns false when `stop` fired first; `out` then
-  /// holds the records written so far and `stats` is unchanged.
+  /// into `stats`. `out` grows once per batch of blocks and is trimmed to
+  /// the records on return. Returns false when `stop` fired first; after
+  /// that, or after a throw, `out` holds the whole records written so
+  /// far and `stats` is unchanged.
   bool encode_blocks(std::span<const f32> data, f64 eps,
                      std::vector<u8>& out, StreamStats& stats,
                      const StopFn& stop = {}) const;
@@ -102,10 +106,11 @@ class BlockCodec {
 
  private:
   u32 read_header(std::span<const u8> in) const;
-  /// Encode one block of block_size floats; abs and signs are scratch of
+  /// Encode one block of block_size floats into `record`, which has room
+  /// for max_compressed_size() bytes; abs and signs are scratch of
   /// block_size and block_size/8 entries.
   BlockInfo encode(const f32* block, f64 eps, u32* abs, u8* signs,
-                   std::vector<u8>& out) const;
+                   u8* record) const;
 
   CodecConfig config_;
   const KernelTable* kernels_;

@@ -86,6 +86,18 @@ void lorenzo_inverse(const i32* in, i32* out, std::size_t n) {
   }
 }
 
+ValueBounds value_bounds(const f32* in, std::size_t n) {
+  if (n == 0) return {};
+  f32 lo = in[0];
+  f32 hi = in[0];
+  for (std::size_t i = 0; i < n; ++i) {
+    const f32 v = in[i];
+    lo = v < lo ? v : lo;
+    hi = v > hi ? v : hi;
+  }
+  return {lo, hi};
+}
+
 void split_sign(const i32* in, u32* abs, u8* signs, std::size_t n) {
   std::memset(signs, 0, n / 8);
   for (std::size_t i = 0; i < n; ++i) {
@@ -177,9 +189,10 @@ void decode_block(const u8* signs, const u8* planes, u32 fl, std::size_t n,
 
 constexpr KernelTable kScalarTable{
     "scalar",           scalar::prequant,      scalar::dequant,
-    scalar::lorenzo_forward, scalar::lorenzo_inverse, scalar::split_sign,
-    scalar::block_max,  scalar::bit_shuffle,   scalar::bit_unshuffle,
-    scalar::apply_sign, scalar::encode_block,  scalar::decode_block,
+    scalar::lorenzo_forward, scalar::lorenzo_inverse, scalar::value_bounds,
+    scalar::split_sign, scalar::block_max,     scalar::bit_shuffle,
+    scalar::bit_unshuffle, scalar::apply_sign, scalar::encode_block,
+    scalar::decode_block,
 };
 
 #if defined(__x86_64__)
@@ -324,6 +337,41 @@ CERESZ_AVX2 void prequant(const f32* in, i32* out, std::size_t n,
   check_prequant(_mm256_movemask_pd(ok) == 0xf && tail_ok);
 }
 
+/// Four accumulators per side break the min/max dependency chain.
+/// _mm256_min_ps(v, lo) is v < lo ? v : lo in every lane (and max_ps its
+/// mirror), the scalar rule, so a NaN enters an accumulator only from the
+/// in[0] seed; the cross-lane fold and the tail apply the same rule.
+CERESZ_AVX2 ValueBounds value_bounds(const f32* in, std::size_t n) {
+  if (n == 0) return {};
+  const __m256 seed = _mm256_set1_ps(in[0]);
+  __m256 lo[4] = {seed, seed, seed, seed};
+  __m256 hi[4] = {seed, seed, seed, seed};
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    for (int k = 0; k < 4; ++k) {
+      const __m256 v = _mm256_loadu_ps(in + i + 8 * k);
+      lo[k] = _mm256_min_ps(v, lo[k]);
+      hi[k] = _mm256_max_ps(v, hi[k]);
+    }
+  }
+  alignas(32) f32 lanes_lo[8];
+  alignas(32) f32 lanes_hi[8];
+  _mm256_store_ps(lanes_lo, _mm256_min_ps(_mm256_min_ps(lo[0], lo[1]),
+                                          _mm256_min_ps(lo[2], lo[3])));
+  _mm256_store_ps(lanes_hi, _mm256_max_ps(_mm256_max_ps(hi[0], hi[1]),
+                                          _mm256_max_ps(hi[2], hi[3])));
+  ValueBounds b{lanes_lo[0], lanes_hi[0]};
+  for (int k = 1; k < 8; ++k) {
+    b.lo = lanes_lo[k] < b.lo ? lanes_lo[k] : b.lo;
+    b.hi = lanes_hi[k] > b.hi ? lanes_hi[k] : b.hi;
+  }
+  for (; i < n; ++i) {
+    b.lo = in[i] < b.lo ? in[i] : b.lo;
+    b.hi = in[i] > b.hi ? in[i] : b.hi;
+  }
+  return b;
+}
+
 CERESZ_AVX2 void split_sign(const i32* in, u32* abs, u8* signs,
                             std::size_t n) {
   for (std::size_t i = 0; i < n; i += 8) {
@@ -423,9 +471,10 @@ CERESZ_AVX2 void decode_block(const u8* signs, const u8* planes, u32 fl,
 // functions call the unfused ones.
 constexpr KernelTable kAvx2Table{
     "avx2",             avx2::prequant,       scalar::dequant,
-    scalar::lorenzo_forward, scalar::lorenzo_inverse, avx2::split_sign,
-    avx2::block_max,    avx2::bit_shuffle,    avx2::bit_unshuffle,
-    scalar::apply_sign, avx2::encode_block,   avx2::decode_block,
+    scalar::lorenzo_forward, scalar::lorenzo_inverse, avx2::value_bounds,
+    avx2::split_sign,   avx2::block_max,      avx2::bit_shuffle,
+    avx2::bit_unshuffle, scalar::apply_sign,  avx2::encode_block,
+    avx2::decode_block,
 };
 
 #endif  // __x86_64__
@@ -446,6 +495,11 @@ const KernelTable& kernels() {
   static const KernelTable& active =
       avx2_kernels() != nullptr ? *avx2_kernels() : scalar_kernels();
   return active;
+}
+
+ValueBounds value_bounds(std::span<const f32> values,
+                         const KernelTable& table) {
+  return table.value_bounds(values.data(), values.size());
 }
 
 }  // namespace ceresz::core

@@ -1,10 +1,11 @@
 // Host kernel tables: the per-block CereSZ stages behind one dispatch point.
 //
 // Every host codec path calls the table kernels() returns: BlockCodec (and
-// through it StreamCodec and ParallelEngine) and the public stage
-// functions of prequant.h, lorenzo.h and flenc.h (and through them
-// Tiled2dCodec, the wafer simulator's sub-stage executor, the profiler
-// and the cuSZ baseline). There are two tables, chosen once from CPUID
+// through it StreamCodec and ParallelEngine), the public stage functions
+// of prequant.h, lorenzo.h and flenc.h (and through them Tiled2dCodec,
+// the wafer simulator's sub-stage executor, the profiler and the cuSZ
+// baseline), and value_bounds() below, which every REL bound resolves
+// through. There are two tables, chosen once from CPUID
 // (common/isa.h):
 //   - scalar: portable C++, the reference, and the only table on hosts
 //     that are not x86-64;
@@ -20,10 +21,20 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 
 #include "common/types.h"
 
 namespace ceresz::core {
+
+/// Smallest and largest value of an array.
+struct ValueBounds {
+  f32 lo = 0.0f;
+  f32 hi = 0.0f;
+
+  /// hi - lo in f64: the value range a REL bound is relative to.
+  f64 range() const { return static_cast<f64>(hi) - static_cast<f64>(lo); }
+};
 
 struct KernelTable {
   /// "scalar" or "avx2".
@@ -42,6 +53,12 @@ struct KernelTable {
   /// out[i] = in[0] + ... + in[i]; in may equal out. Throws Error if a
   /// prefix sum overflows 32 bits.
   void (*lorenzo_inverse)(const i32* in, i32* out, std::size_t n);
+
+  /// Smallest and largest of in[0..n) ({0, 0} when n is 0) by the rule
+  /// lo = v < lo ? v : lo (hi mirrored), starting from lo = hi = in[0]:
+  /// a NaN at in[0] makes both NaN, a later NaN is skipped. Tables may
+  /// differ only in the sign of a zero lo or hi, so range() is the same.
+  ValueBounds (*value_bounds)(const f32* in, std::size_t n);
 
   // Fixed-length encoding stages on n elements, n a multiple of 8. Bit i
   // of sign byte or plane byte b belongs to element 8b + i.
@@ -85,5 +102,11 @@ const KernelTable* avx2_kernels();
 /// The table every host codec path runs: AVX2 when the host has it,
 /// scalar otherwise.
 const KernelTable& kernels();
+
+/// `table`'s value_bounds over `values`. StreamCodec, the engine's
+/// per-slice min/max, Tiled2dCodec, the profiler and the baselines all
+/// resolve REL bounds with it, so they derive the same ε.
+ValueBounds value_bounds(std::span<const f32> values,
+                         const KernelTable& table = kernels());
 
 }  // namespace ceresz::core

@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "common/error.h"
-#include "common/stats.h"
 
 namespace ceresz::core {
 
@@ -41,8 +40,9 @@ CompressionResult StreamCodec::compress(std::span<const f32> data,
   const u32 L = cfg.block_size;
 
   const f64 eps = bound.resolve(
-      bound.mode == ErrorBound::Mode::kAbsolute ? 0.0
-                                                : value_bounds(data).range());
+      bound.mode == ErrorBound::Mode::kAbsolute
+          ? 0.0
+          : value_bounds(data, block_codec_.table()).range());
 
   CompressionResult result;
   result.eps_abs = eps;

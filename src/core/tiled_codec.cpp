@@ -4,8 +4,8 @@
 #include <cstring>
 
 #include "common/error.h"
-#include "common/stats.h"
 #include "core/flenc.h"
+#include "core/kernels.h"
 #include "core/lorenzo2d.h"
 #include "core/prequant.h"
 
@@ -45,7 +45,7 @@ CompressionResult Tiled2dCodec::compress(std::span<const f32> field,
   CERESZ_CHECK(field.size() == width * height,
                "Tiled2dCodec: field size does not match dims");
   const u32 L = config_.block_size();
-  const f64 eps = bound.resolve(summarize(field).range());
+  const f64 eps = bound.resolve(value_bounds(field).range());
 
   CompressionResult result;
   result.eps_abs = eps;

@@ -176,14 +176,14 @@ RunReport ChunkRunner::run(u64 n_chunks, const ChunkFn& fn,
       if (st.outcome == Outcome::kPermanent) {
         st.done = true;
         ++resolved;
-        report.failed.push_back({c, true, st.message});
+        report.failed.push_back({c, true, st.attempts_started, st.message});
         continue;
       }
       if (st.outcome == Outcome::kCrash) ++report.worker_crashes;
       if (st.attempts_started >= policy_.max_attempts) {
         st.done = true;
         ++resolved;
-        report.failed.push_back({c, false, st.message});
+        report.failed.push_back({c, false, st.attempts_started, st.message});
       } else {
         ++report.retries;
         const u32 k = std::min<u32>(st.attempts_started, 21) - 1;

@@ -6,7 +6,8 @@
 //     workers, timeouts) are retried with capped exponential backoff, up
 //     to RetryPolicy::max_attempts attempts per chunk;
 //   - PermanentChunkError skips the retry ladder entirely — it marks data
-//     that is wrong (bad CRC, undecodable record), which no retry fixes;
+//     that is wrong (bad CRC, undecodable record, unencodable input),
+//     which no retry fixes;
 //   - an attempt with a deadline (RetryPolicy::deadline_ms after its
 //     start, capped by the run's absolute deadline) is cancelled by the
 //     owner's DeadlineTimer via the attempt's CancelToken (cooperative:
@@ -68,7 +69,8 @@ class CancelToken {
 };
 
 /// Failure that retrying cannot fix: the chunk's bytes are wrong (CRC
-/// mismatch, undecodable record). Goes straight to the failed list.
+/// mismatch, undecodable record, input the codec cannot encode). Goes
+/// straight to the failed list.
 class PermanentChunkError : public Error {
  public:
   using Error::Error;
@@ -85,6 +87,7 @@ class ChunkTimeout : public Error {
 struct ChunkFailure {
   u64 chunk = 0;
   bool permanent = false;  ///< PermanentChunkError vs retries exhausted
+  u32 attempts = 0;        ///< attempts made, the failing one included
   std::string message;     ///< the final attempt's error
 };
 

@@ -10,7 +10,6 @@
 
 #include "common/checksum.h"
 #include "common/error.h"
-#include "common/stats.h"
 #include "common/timer.h"
 #include "engine/chunk_runner.h"
 #include "engine/thread_pool.h"
@@ -183,7 +182,8 @@ EngineResult ParallelEngine::compress(std::span<const f32> data,
         try {
           const u64 begin = c * C;
           const u64 end = std::min(n, begin + C);
-          const ValueBounds b = value_bounds(data.subspan(begin, end - begin));
+          const core::ValueBounds b = core::value_bounds(
+              data.subspan(begin, end - begin), block_codec_.table());
           slice_min[c] = b.lo;
           slice_max[c] = b.hi;
         } catch (...) {
@@ -222,9 +222,18 @@ EngineResult ParallelEngine::compress(std::span<const f32> data,
           const u64 begin = c * C;
           const u64 end = std::min(n, begin + C);
           ChunkOutput o;
-          if (!block_codec_.encode_blocks(data.subspan(begin, end - begin),
-                                          eps, o.bytes, o.stats,
-                                          [&] { return cancel.cancelled(); })) {
+          bool finished = false;
+          try {
+            finished = block_codec_.encode_blocks(
+                data.subspan(begin, end - begin), eps, o.bytes, o.stats,
+                [&] { return cancel.cancelled(); });
+          } catch (const Error& e) {
+            // The codec rejects the input itself (NaN or ±Inf, or a
+            // quantized value or difference past 32 bits at this ε): no
+            // retry encodes it.
+            throw PermanentChunkError(e.what());
+          }
+          if (!finished) {
             throw ChunkTimeout("chunk " + std::to_string(c) +
                                " exceeded its compression deadline");
           }
@@ -242,13 +251,15 @@ EngineResult ParallelEngine::compress(std::span<const f32> data,
       },
       deadline);
   // Compression has no lenient mode: the caller asked for a complete
-  // container, and a chunk that exhausted its attempts means there is
-  // none to give.
+  // container, and a chunk that failed means there is none to give. A
+  // permanent failure is the input's fault and keeps its type.
   if (!report.all_succeeded()) {
     const ChunkFailure& f = report.failed.front();
-    throw Error("ParallelEngine: chunk " + std::to_string(f.chunk) +
-                " failed after " + std::to_string(options_.retry.max_attempts) +
-                " attempt(s): " + f.message);
+    const std::string message =
+        "ParallelEngine: chunk " + std::to_string(f.chunk) + " failed after " +
+        std::to_string(f.attempts) + " attempt(s): " + f.message;
+    if (f.permanent) throw PermanentChunkError(message);
+    throw Error(message);
   }
 
   // Assemble the container: header + chunk table, then payloads in order.

@@ -67,7 +67,8 @@ struct EngineOptions {
 
   /// Retry/backoff/deadline policy applied to every chunk attempt (see
   /// chunk_runner.h). Transient failures are retried up to
-  /// `retry.max_attempts` times; data corruption is never retried.
+  /// `retry.max_attempts` times; data corruption and input the codec
+  /// rejects are never retried.
   RetryPolicy retry;
 
   /// Injected worker faults, keyed by (chunk, attempt) — empty in
@@ -124,6 +125,8 @@ class ParallelEngine {
   /// concurrent calls share the engine's pool. With a `deadline`, no
   /// chunk attempt outlives it (on top of EngineOptions::retry's
   /// per-attempt deadline_ms); a run that cannot finish in time throws.
+  /// Input the codec rejects (NaN, ±Inf, quantization past 32 bits)
+  /// throws PermanentChunkError after one attempt of its chunk.
   EngineResult compress(std::span<const f32> data, core::ErrorBound bound,
                         Deadline deadline = {}) const;
 

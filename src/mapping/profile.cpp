@@ -5,8 +5,8 @@
 
 #include "common/error.h"
 #include "common/rng.h"
-#include "common/stats.h"
 #include "core/flenc.h"
+#include "core/kernels.h"
 #include "core/lorenzo.h"
 #include "core/prequant.h"
 
@@ -19,8 +19,7 @@ DataProfile StageProfiler::profile(std::span<const f32> data,
   const u32 L = codec_.block_size;
 
   DataProfile p;
-  const ArraySummary summary = summarize(data);
-  p.eps_abs = bound.resolve(summary.range());
+  p.eps_abs = bound.resolve(core::value_bounds(data).range());
   if (data.size() < L) {
     // Degenerate input: assume a mid-range encoding length.
     p.est_fixed_length = 8;

@@ -130,7 +130,7 @@ enum class Status : u16 {
   kUnsupported = 2,      ///< unknown version or opcode
   kBusy = 3,             ///< in-flight limit reached; retry later
   kDeadlineExpired = 4,  ///< request deadline passed before completion
-  kBadRequest = 5,       ///< parseable but invalid (bad bound, empty data)
+  kBadRequest = 5,       ///< COMPRESS data the codec cannot encode
   kCorruptStream = 6,    ///< DECOMPRESS payload failed validation/CRC
   kInternal = 7,         ///< engine failure not attributable to the input
   kDraining = 8,         ///< server is draining; no new work accepted

@@ -671,7 +671,8 @@ struct ServiceServer::Impl {
       // Map the failure the way the CLI maps exit codes: a passed
       // deadline wins (the engine's timeouts are a symptom of it), an
       // undecodable payload is the client's frame, a bad DECOMPRESS
-      // stream is corrupt data, anything else is on the server.
+      // stream is corrupt data, COMPRESS data the codec rejects is a bad
+      // request, anything else is on the server.
       Status status;
       if (deadline_ns != 0 && now_ns() >= deadline_ns) {
         m_.deadline_expired.add(1);
@@ -682,6 +683,9 @@ struct ServiceServer::Impl {
         status = Status::kMalformed;
       } else if (op == Opcode::kDecompress) {
         status = Status::kCorruptStream;
+      } else if (dynamic_cast<const engine::PermanentChunkError*>(&e) !=
+                 nullptr) {
+        status = Status::kBadRequest;
       } else {
         status = Status::kInternal;
       }

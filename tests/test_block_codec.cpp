@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <string>
+
 #include "common/error.h"
 #include "test_util.h"
 
@@ -119,6 +123,136 @@ TEST(BlockCodec, InvalidConfigThrows) {
   EXPECT_THROW(BlockCodec(config_with(3)), Error);          // header width
   EXPECT_THROW(BlockCodec(config_with(4, true, 12)), Error);  // block size
   EXPECT_THROW(BlockCodec(config_with(4, true, 0)), Error);
+}
+
+// --- the block loop's record writer ----------------------------------------
+
+/// Zero, constant, smooth, noisy and sparse stretches of whole blocks
+/// over several of encode_blocks' batches, then a partial last block.
+std::vector<f32> mixed_blocks(u32 L) {
+  std::vector<f32> data;
+  for (int round = 0; data.size() < 3 * 2048 + 5u * L; ++round) {
+    data.insert(data.end(), 3 * L, 0.0f);
+    data.insert(data.end(), 2 * L, 3.25f);
+    const auto smooth = test::smooth_signal(7 * L, 3 + round);
+    const auto noisy = test::random_signal(5 * L, 5 + round, -40.0, 40.0);
+    const auto sparse = test::sparse_signal(6 * L, 7 + round, 0.1);
+    data.insert(data.end(), smooth.begin(), smooth.end());
+    data.insert(data.end(), noisy.begin(), noisy.end());
+    data.insert(data.end(), sparse.begin(), sparse.end());
+  }
+  data.resize(data.size() + L / 2 + 3, 1.0f);
+  return data;
+}
+
+/// The records of compress() on each block of `data` (the last one
+/// zero-padded), concatenated.
+std::vector<u8> per_block_records(const BlockCodec& codec,
+                                  const std::vector<f32>& data, f64 eps) {
+  const u32 L = codec.config().block_size;
+  std::vector<u8> out;
+  for (std::size_t begin = 0; begin < data.size(); begin += L) {
+    std::vector<f32> block(L, 0.0f);
+    std::copy_n(data.begin() + begin,
+                std::min<std::size_t>(L, data.size() - begin), block.begin());
+    codec.compress(block, eps, out);
+  }
+  return out;
+}
+
+/// Number of whole records at the front of `stream`, which must end on a
+/// record boundary.
+std::size_t count_records(const BlockCodec& codec,
+                          std::span<const u8> stream) {
+  std::size_t pos = 0;
+  std::size_t records = 0;
+  while (pos < stream.size()) {
+    pos += codec.record_size(stream.subspan(pos));
+    ++records;
+  }
+  EXPECT_EQ(pos, stream.size()) << "trailing partial record";
+  return records;
+}
+
+TEST(BlockCodec, EncodeBlocksEqualsConcatenatedBlockRecords) {
+  for (u32 L : {8u, 24u, 32u, 64u}) {
+    const std::vector<f32> data = mixed_blocks(L);
+    const u64 n_blocks = (data.size() + L - 1) / L;
+    for (u32 header : {1u, 2u, 4u}) {
+      for (bool zero : {false, true}) {
+        for (bool constant : {false, true}) {
+          CodecConfig cfg = config_with(header, zero, L);
+          cfg.constant_block_shortcut = constant;
+          const BlockCodec codec(cfg);
+          const std::string what =
+              "L=" + std::to_string(L) + " header=" + std::to_string(header) +
+              " zero=" + std::to_string(zero) +
+              " constant=" + std::to_string(constant);
+          // Records append after whatever `out` already holds.
+          std::vector<u8> out = {0xde, 0xad};
+          StreamStats stats;
+          ASSERT_TRUE(codec.encode_blocks(data, 1e-3, out, stats)) << what;
+          std::vector<u8> expected = {0xde, 0xad};
+          const std::vector<u8> records = per_block_records(codec, data, 1e-3);
+          expected.insert(expected.end(), records.begin(), records.end());
+          EXPECT_EQ(out, expected) << what;
+          EXPECT_EQ(stats.total_blocks, n_blocks) << what;
+          EXPECT_EQ(stats.zero_blocks > 0, zero) << what;
+          EXPECT_EQ(stats.constant_blocks > 0, constant) << what;
+        }
+      }
+    }
+  }
+}
+
+TEST(BlockCodec, StopMidCallLeavesWholeRecordsAndNoStats) {
+  const BlockCodec codec(config_with(4));
+  const std::vector<f32> data = mixed_blocks(32);
+  std::vector<u8> full;
+  StreamStats full_stats;
+  ASSERT_TRUE(codec.encode_blocks(data, 1e-3, full, full_stats));
+
+  int polls = 0;
+  std::vector<u8> out;
+  StreamStats stats;
+  EXPECT_FALSE(codec.encode_blocks(data, 1e-3, out, stats,
+                                   [&] { return ++polls > 2; }));
+  // Two batches were written, each of 2048 elements (64 blocks), before
+  // the third poll stopped the loop.
+  EXPECT_EQ(polls, 3);
+  EXPECT_EQ(count_records(codec, out), 2u * 64);
+  ASSERT_LT(out.size(), full.size());
+  EXPECT_TRUE(std::equal(out.begin(), out.end(), full.begin()));
+  EXPECT_EQ(stats.total_blocks, 0u);
+}
+
+TEST(BlockCodec, ThrowMidCallLeavesWholeRecordsAndNoStats) {
+  constexpr f32 kNaN = std::numeric_limits<f32>::quiet_NaN();
+  for (u32 header : {1u, 4u}) {
+    const BlockCodec codec(config_with(header));
+    std::vector<f32> data = mixed_blocks(32);
+    // Block 100 (inside the second batch) cannot be quantized.
+    data[100 * 32 + 5] = kNaN;
+    std::vector<u8> out = {0x42};
+    StreamStats stats;
+    EXPECT_THROW(codec.encode_blocks(data, 1e-3, out, stats), Error);
+    EXPECT_EQ(stats.total_blocks, 0u);
+    ASSERT_FALSE(out.empty());
+    EXPECT_EQ(out[0], 0x42);
+    // What is left is exactly the records of blocks 0..99.
+    const std::vector<f32> before(data.begin(), data.begin() + 100 * 32);
+    const std::vector<u8> records = per_block_records(codec, before, 1e-3);
+    EXPECT_TRUE(std::equal(out.begin() + 1, out.end(), records.begin(),
+                           records.end()))
+        << "header=" << header;
+
+    // The single-block writer leaves `out` as it was.
+    const std::vector<u8> kept = out;
+    const std::vector<f32> bad(data.begin() + 100 * 32,
+                               data.begin() + 101 * 32);
+    EXPECT_THROW(codec.compress(bad, 1e-3, out), Error);
+    EXPECT_EQ(out, kept);
+  }
 }
 
 struct RoundTripCase {

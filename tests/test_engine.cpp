@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -18,6 +19,7 @@
 #include "engine/fault_injection.h"
 #include "engine/thread_pool.h"
 #include "io/chunk_container.h"
+#include "obs/trace.h"
 #include "test_util.h"
 
 namespace ceresz::engine {
@@ -125,6 +127,39 @@ TEST(ParallelEngine, RelativeBoundMatchesStreamCodecEps) {
   EXPECT_EQ(chunked.stream,
             eng.compress(data, core::ErrorBound::absolute(single.eps_abs))
                 .stream);
+}
+
+TEST(ParallelEngine, UnencodableInputFailsAfterOneAttempt) {
+  // A NaN is the input's fault, not a transient one: its chunk fails on
+  // the first attempt, with no retry ladder, and the engine throws the
+  // typed PermanentChunkError naming the attempts actually made.
+  auto data = test::smooth_signal(8 * 1024);
+  data[5 * 1024 + 17] = std::numeric_limits<f32>::quiet_NaN();
+  for (const core::ErrorBound bound : {core::ErrorBound::relative(1e-3),
+                                       core::ErrorBound::absolute(1e-3)}) {
+    obs::Tracer tracer;
+    {
+      // The engine (and its pool) is gone before the trace is read.
+      EngineOptions opt = small_chunks(2, 1024);
+      opt.tracer = &tracer;
+      const ParallelEngine eng(opt);
+      try {
+        eng.compress(data, bound);
+        FAIL() << "NaN input was accepted";
+      } catch (const PermanentChunkError& e) {
+        EXPECT_NE(
+            std::string(e.what()).find("chunk 5 failed after 1 attempt(s)"),
+            std::string::npos)
+            << e.what();
+      }
+    }
+    int attempts = 0;
+    for (const obs::TraceEvent& ev : tracer.snapshot_events()) {
+      if (std::string(ev.name) == "chunk.compress" && ev.arg1 == 5) ++attempts;
+      EXPECT_NE(std::string(ev.name), "chunk.retry");
+    }
+    EXPECT_EQ(attempts, 1);
+  }
 }
 
 // --- corruption handling ----------------------------------------------------

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -148,6 +149,83 @@ TEST_F(KernelDiff, Prequant) {
                    },
                    "NaN")
                    .error.empty());
+}
+
+/// lo and hi compare equal (only a zero's sign may differ, or both are
+/// NaN) and hi - lo, the value range ε is resolved from, is bit-identical.
+void expect_same_bounds(const f32* in, std::size_t n, const std::string& what) {
+  const ValueBounds ref = scalar_kernels().value_bounds(in, n);
+  const ValueBounds simd = avx2_kernels()->value_bounds(in, n);
+  const auto same = [](f32 a, f32 b) {
+    return a == b || (std::isnan(a) && std::isnan(b));
+  };
+  EXPECT_TRUE(same(ref.lo, simd.lo)) << what << ": lo " << ref.lo << " vs "
+                                     << simd.lo;
+  EXPECT_TRUE(same(ref.hi, simd.hi)) << what << ": hi " << ref.hi << " vs "
+                                     << simd.hi;
+  EXPECT_EQ(std::bit_cast<u64>(ref.range()), std::bit_cast<u64>(simd.range()))
+      << what;
+}
+
+TEST_F(KernelDiff, ValueBounds) {
+  constexpr f32 kNaN = std::numeric_limits<f32>::quiet_NaN();
+  constexpr f32 kInf = std::numeric_limits<f32>::infinity();
+  constexpr f32 kDenorm = std::numeric_limits<f32>::denorm_min();
+  Rng rng(7);
+  // Every length 0..100 at every start alignment of a 32-byte vector.
+  std::vector<f32> buf(100 + 8);
+  for (auto& v : buf) v = static_cast<f32>(rng.uniform(-1e3, 1e3));
+  for (std::size_t n = 0; n <= 100; ++n) {
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      expect_same_bounds(buf.data() + offset, n,
+                         "n=" + std::to_string(n) + "@" +
+                             std::to_string(offset));
+    }
+  }
+  // A whole field, with its extremes in the vector body and the tail.
+  std::vector<f32> field = test::smooth_signal((1u << 20) + 13, 8);
+  field[777] = -12345.5f;
+  field[field.size() - 2] = 54321.25f;
+  expect_same_bounds(field.data(), field.size(), "field");
+  EXPECT_EQ(value_bounds(field, scalar_kernels()).lo, -12345.5f);
+  EXPECT_EQ(value_bounds(field, scalar_kernels()).hi, 54321.25f);
+  // The dispatched table is the one value_bounds() runs by default.
+  EXPECT_EQ(std::bit_cast<u64>(value_bounds(field).range()),
+            std::bit_cast<u64>(value_bounds(field, kernels()).range()));
+
+  // Non-finite, signed-zero and denormal values at index 0, in a vector
+  // lane and in the tail, on random values, signed zeros and denormals.
+  const auto background = [&](int kind) {
+    std::vector<f32> x(70);
+    for (auto& v : x) {
+      const bool negative = rng.next_below(2) == 0;
+      if (kind == 0) v = static_cast<f32>(rng.uniform(-2, 2));
+      if (kind == 1) v = negative ? -0.0f : 0.0f;
+      if (kind == 2) v = negative ? -kDenorm : kDenorm;
+    }
+    return x;
+  };
+  for (f32 e : {kNaN, -kNaN, kInf, -kInf, 0.0f, -0.0f, kDenorm, -kDenorm}) {
+    for (int kind : {0, 1, 2}) {
+      for (std::size_t at : {0u, 1u, 7u, 8u, 31u, 32u, 40u, 69u}) {
+        std::vector<f32> x = background(kind);
+        x[at] = e;
+        const std::string what = "edge " + std::to_string(e) +
+                                 " on background " + std::to_string(kind) +
+                                 " at " + std::to_string(at);
+        expect_same_bounds(x.data(), x.size(), what);
+        // A NaN at in[0] makes both bounds NaN; anywhere else it is
+        // skipped.
+        const ValueBounds b = avx2_kernels()->value_bounds(x.data(), x.size());
+        EXPECT_EQ(std::isnan(b.lo), std::isnan(e) && at == 0) << what;
+        EXPECT_EQ(std::isnan(b.hi), std::isnan(e) && at == 0) << what;
+      }
+    }
+  }
+  const std::vector<f32> constant(1000, -7.25f);
+  expect_same_bounds(constant.data(), constant.size(), "constant");
+  EXPECT_EQ(value_bounds(constant).range(), 0.0);
+  EXPECT_EQ(value_bounds(std::span<const f32>{}).range(), 0.0);
 }
 
 TEST_F(KernelDiff, FusedBlockKernelsWithLorenzoOverflowAnywhere) {

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -487,6 +488,31 @@ TEST(Service, CorruptStreamGetsTypedErrorAndConnectionSurvives) {
   const auto stream = client.compress(data, core::ErrorBound::relative(1e-3));
   const auto values = client.decompress(stream);
   EXPECT_EQ(values.size(), data.size());
+  EXPECT_EQ(server.metrics().counter(kMetricErrorResponses).value(), 1u);
+}
+
+TEST(Service, UnencodableCompressDataGetsBadRequest) {
+  ServiceServer server(test_server());
+  server.start();
+  CereszClient client;
+  client.connect("127.0.0.1", server.port());
+
+  auto data = test::smooth_signal(3 * 2048);
+  data[2048 + 100] = std::numeric_limits<f32>::quiet_NaN();
+  try {
+    (void)client.compress(data, core::ErrorBound::relative(1e-3));
+    FAIL() << "expected BAD_REQUEST";
+  } catch (const ServiceError& e) {
+    EXPECT_EQ(e.status(), Status::kBadRequest) << e.what();
+    EXPECT_NE(std::string(e.what()).find("failed after 1 attempt(s)"),
+              std::string::npos)
+        << e.what();
+  }
+
+  // The connection survives and serves valid data.
+  data[2048 + 100] = 0.0f;
+  const auto stream = client.compress(data, core::ErrorBound::relative(1e-3));
+  EXPECT_EQ(client.decompress(stream).size(), data.size());
   EXPECT_EQ(server.metrics().counter(kMetricErrorResponses).value(), 1u);
 }
 
