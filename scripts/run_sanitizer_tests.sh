@@ -2,8 +2,9 @@
 # Build with a sanitizer and run the concurrency-sensitive tests: the
 # engine, the codec and checksum kernels (hand-written SIMD loads and
 # stores), the block, stream and constant-block codec suites (the block
-# loop writes records through a raw cursor), the fault-injection chaos
-# suite, the observability
+# loop writes records through a raw cursor), the stream fuzz and wafer
+# mapper suites (hostile containers must never read out of bounds), the
+# fault-injection chaos suite, the observability
 # registry/tracer suite, the network service suite (reader/worker
 # threads, BufferPool, shutdown paths), the network chaos suite
 # (ChaosProxy relay threads, client retry loop, drain), the tenant
@@ -37,7 +38,8 @@ cmake -B "$BUILD_DIR" -S . \
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
   --target test_engine test_kernels test_checksum test_fault_injection \
   test_obs test_service test_chaos test_tenant test_wafer_sim \
-  test_block_codec test_stream_codec test_constant_blocks
+  test_block_codec test_stream_codec test_constant_blocks test_robustness \
+  test_wafer_mapper
 
 cd "$BUILD_DIR"
 if [ "$MODE" = "thread" ]; then
@@ -46,5 +48,5 @@ else
   export ASAN_OPTIONS="halt_on_error=1 detect_stack_use_after_return=1"
 fi
 ctest --output-on-failure \
-  -R '^test_(engine|kernels|checksum|fault_injection|obs|service|chaos|tenant|wafer_sim|block_codec|stream_codec|constant_blocks)$'
+  -R '^test_(engine|kernels|checksum|fault_injection|obs|service|chaos|tenant|wafer_sim|block_codec|stream_codec|constant_blocks|robustness|wafer_mapper)$'
 echo "${MODE} sanitizer tests passed."

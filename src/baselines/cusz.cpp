@@ -6,6 +6,7 @@
 #include "baselines/lorenzo_nd.h"
 #include "common/bitio.h"
 #include "common/error.h"
+#include "common/little_endian.h"
 #include "core/kernels.h"
 #include "core/prequant.h"
 #include "huffman/huffman.h"
@@ -15,23 +16,6 @@ namespace ceresz::baselines {
 namespace {
 
 constexpr char kMagic[4] = {'C', 'S', 'Z', 'R'};
-
-void append_u32(std::vector<u8>& out, u32 v) {
-  for (int b = 0; b < 4; ++b) out.push_back(static_cast<u8>((v >> (8 * b)) & 0xff));
-}
-void append_u64(std::vector<u8>& out, u64 v) {
-  for (int b = 0; b < 8; ++b) out.push_back(static_cast<u8>((v >> (8 * b)) & 0xff));
-}
-u32 read_u32(const u8* p) {
-  u32 v = 0;
-  for (int b = 0; b < 4; ++b) v |= static_cast<u32>(p[b]) << (8 * b);
-  return v;
-}
-u64 read_u64(const u8* p) {
-  u64 v = 0;
-  for (int b = 0; b < 8; ++b) v |= static_cast<u64>(p[b]) << (8 * b);
-  return v;
-}
 
 }  // namespace
 

@@ -23,14 +23,9 @@ std::vector<u8> SzpCompressor::compress(const data::Field& field,
                                         core::ErrorBound bound,
                                         BaselineStats* stats) const {
   core::CompressionResult r = codec_.compress(field.view(), bound);
-  if (chunk_offset_blocks_ > 0) {
-    // cuSZp bookkeeping: one u32 offset per chunk of blocks, appended so
-    // decompression stays compatible with the plain stream parser.
-    const u64 chunks =
-        (r.stats.total_blocks + chunk_offset_blocks_ - 1) /
-        std::max<u64>(1, chunk_offset_blocks_);
-    r.stream.insert(r.stream.end(), chunks * 4, 0);
-  }
+  // cuSZp bookkeeping: one u32 offset per chunk of blocks, after the
+  // container.
+  r.stream.insert(r.stream.end(), offset_table_bytes(r.element_count), 0);
   if (stats != nullptr) {
     stats->eps_abs = r.eps_abs;
     stats->element_count = r.element_count;
@@ -43,9 +38,23 @@ std::vector<u8> SzpCompressor::compress(const data::Field& field,
 }
 
 std::vector<f32> SzpCompressor::decompress(std::span<const u8> stream) const {
-  // The optional trailing offset table is ignored by the sequential
-  // parser — record sizes are self-describing.
-  return codec_.decompress(stream);
+  // The sequential decoder needs no offset table (record sizes are
+  // self-describing); the codec reads the container without it.
+  const u64 table =
+      chunk_offset_blocks_ > 0
+          ? offset_table_bytes(io::parse_container_header(stream).element_count)
+          : 0;
+  CERESZ_CHECK(table <= stream.size(), "cuSZp: truncated offset table");
+  return codec_.decompress(stream.first(stream.size() - table));
+}
+
+u64 SzpCompressor::offset_table_bytes(u64 element_count) const {
+  if (chunk_offset_blocks_ == 0) return 0;
+  const u64 L = codec_.config().block_size;
+  const u64 blocks = element_count / L + (element_count % L != 0 ? 1 : 0);
+  return (blocks / chunk_offset_blocks_ +
+          (blocks % chunk_offset_blocks_ != 0 ? 1 : 0)) *
+         4;
 }
 
 std::unique_ptr<Compressor> make_szp() {

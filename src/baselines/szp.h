@@ -30,6 +30,9 @@ class SzpCompressor : public Compressor {
   std::vector<f32> decompress(std::span<const u8> stream) const override;
 
  private:
+  /// Bytes of the cuSZp offset table after the container (0 for SZp).
+  u64 offset_table_bytes(u64 element_count) const;
+
   std::string name_;
   u32 chunk_offset_blocks_;
   core::StreamCodec codec_;

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/error.h"
+#include "common/little_endian.h"
 #include "core/flenc.h"
 #include "core/kernels.h"
 #include "core/lorenzo2d.h"
@@ -14,15 +15,6 @@ namespace ceresz::core {
 namespace {
 
 constexpr char kMagic[4] = {'C', 'S', 'Z', '2'};
-
-void append_u64(std::vector<u8>& out, u64 v) {
-  for (int b = 0; b < 8; ++b) out.push_back(static_cast<u8>((v >> (8 * b)) & 0xff));
-}
-u64 read_u64(const u8* p) {
-  u64 v = 0;
-  for (int b = 0; b < 8; ++b) v |= static_cast<u64>(p[b]) << (8 * b);
-  return v;
-}
 
 }  // namespace
 

@@ -136,10 +136,6 @@ u32 ParallelEngine::resolved_threads() const {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
-bool ParallelEngine::is_chunked_stream(std::span<const u8> stream) {
-  return io::is_chunked_stream(stream);
-}
-
 EngineResult ParallelEngine::compress(std::span<const f32> data,
                                       core::ErrorBound bound,
                                       Deadline deadline) const {
@@ -321,13 +317,7 @@ DecompressResult ParallelEngine::decompress(std::span<const u8> stream,
   EngineMetrics em(reg);
   const io::ParsedContainer parsed = io::parse_container(stream);
   const io::ChunkedHeader& h = parsed.header;
-  const core::CodecConfig& cfg = block_codec_.config();
-  CERESZ_CHECK(h.codec_header_bytes == cfg.header_bytes,
-               "ParallelEngine: stream was written with a different block "
-               "header width than this engine's configuration");
-  CERESZ_CHECK(h.block_size == cfg.block_size,
-               "ParallelEngine: stream was written with a different block "
-               "size than this engine's configuration");
+  core::check_container_config(h, block_codec_.config());
   const u64 n = h.element_count;
 
   obs::SpanGuard run_span(tracer, "engine.decompress", "engine", "chunks",
@@ -361,35 +351,25 @@ DecompressResult ParallelEngine::decompress(std::span<const u8> stream,
                           static_cast<i64>(c));
         }
         maybe_inject(options_.faults, c, attempt, cancel);
-        const io::ChunkEntry& e = parsed.entries[c];
-        const u64 begin = c * h.chunk_elems;
-        const auto payload = stream.subspan(e.offset, e.compressed_bytes);
-        if (crc32c(payload) != e.crc32c) {
-          throw PermanentChunkError(
-              "ParallelEngine: chunk " + std::to_string(c) +
-              " failed its CRC32C check (corrupt payload)");
-        }
+        const std::span<f32> chunk_out(out + c * h.chunk_elems,
+                                       parsed.entries[c].element_count);
+        bool finished = false;
         try {
-          const std::optional<std::size_t> consumed = block_codec_.decode_blocks(
-              payload, h.eps_abs, std::span<f32>(out + begin, e.element_count),
-              [&] { return cancel.cancelled(); });
-          if (!consumed) {
-            throw ChunkTimeout("chunk " + std::to_string(c) +
-                               " exceeded its decompression deadline");
-          }
-          CERESZ_CHECK(*consumed == e.compressed_bytes,
-                       "chunk payload has trailing bytes");
-        } catch (const ChunkTimeout&) {
+          finished = core::decode_chunk(block_codec_, stream, parsed, c,
+                                        chunk_out,
+                                        [&] { return cancel.cancelled(); });
+        } catch (const std::exception& ex) {
+          throw PermanentChunkError(std::string("ParallelEngine: ") +
+                                    ex.what());
+        }
+        if (!finished) {
           // A timeout is transient, not data corruption.
           if (tracer) {
             tracer->instant("chunk.timeout", "engine", "chunk",
                             static_cast<i64>(c));
           }
-          throw;
-        } catch (const std::exception& ex) {
-          throw PermanentChunkError("ParallelEngine: chunk " +
-                                    std::to_string(c) +
-                                    " is corrupt: " + ex.what());
+          throw ChunkTimeout("chunk " + std::to_string(c) +
+                             " exceeded its decompression deadline");
         }
         em.chunk_seconds.observe(static_cast<f64>(now_ns() - attempt_start) *
                                  1e-9);

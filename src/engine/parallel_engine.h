@@ -130,16 +130,14 @@ class ParallelEngine {
   EngineResult compress(std::span<const f32> data, core::ErrorBound bound,
                         Deadline deadline = {}) const;
 
-  /// Decompress a chunked container produced by compress(). Throws on
-  /// structural corruption (header/table), and on chunk corruption in
-  /// strict mode; see EngineOptions::lenient. `deadline` as for
-  /// compress(); in lenient mode a timed-out chunk is zero-filled.
+  /// Decompress a container of any chunk count written with this
+  /// engine's codec configuration (by compress(), core::StreamCodec or
+  /// mapping::WaferMapper). Throws on structural corruption
+  /// (header/table), and on chunk corruption in strict mode; see
+  /// EngineOptions::lenient. `deadline` as for compress(); in lenient
+  /// mode a timed-out chunk is zero-filled.
   DecompressResult decompress(std::span<const u8> stream,
                               Deadline deadline = {}) const;
-
-  /// Cheap magic sniff: true if `stream` is a chunked container (vs the
-  /// legacy single-stream "CSZ1" format).
-  static bool is_chunked_stream(std::span<const u8> stream);
 
  private:
   EngineOptions options_;

@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "common/error.h"
+#include "common/little_endian.h"
 #include "io/file_io.h"
 
 namespace ceresz::io {
@@ -12,13 +13,6 @@ namespace {
 
 constexpr char kMagic[4] = {'C', 'S', 'Z', 'A'};
 constexpr u32 kVersion = 1;
-
-void append_u32(std::vector<u8>& out, u32 v) {
-  for (int b = 0; b < 4; ++b) out.push_back(static_cast<u8>((v >> (8 * b)) & 0xff));
-}
-void append_u64(std::vector<u8>& out, u64 v) {
-  for (int b = 0; b < 8; ++b) out.push_back(static_cast<u8>((v >> (8 * b)) & 0xff));
-}
 
 class Reader {
  public:

@@ -1,9 +1,11 @@
 #include "io/chunk_container.h"
 
 #include <cstring>
+#include <string>
 
 #include "common/checksum.h"
 #include "common/error.h"
+#include "common/little_endian.h"
 
 namespace ceresz::io {
 
@@ -11,40 +13,7 @@ namespace {
 
 constexpr char kMagic[4] = {'C', 'S', 'Z', 'C'};
 
-void append_u16(std::vector<u8>& out, u16 v) {
-  out.push_back(static_cast<u8>(v & 0xff));
-  out.push_back(static_cast<u8>(v >> 8));
-}
-
-void append_u32(std::vector<u8>& out, u32 v) {
-  for (int b = 0; b < 4; ++b) out.push_back(static_cast<u8>((v >> (8 * b)) & 0xff));
-}
-
-void append_u64(std::vector<u8>& out, u64 v) {
-  for (int b = 0; b < 8; ++b) out.push_back(static_cast<u8>((v >> (8 * b)) & 0xff));
-}
-
-u16 read_u16(const u8* p) {
-  return static_cast<u16>(p[0] | (static_cast<u16>(p[1]) << 8));
-}
-
-u32 read_u32(const u8* p) {
-  u32 v = 0;
-  for (int b = 0; b < 4; ++b) v |= static_cast<u32>(p[b]) << (8 * b);
-  return v;
-}
-
-u64 read_u64(const u8* p) {
-  u64 v = 0;
-  for (int b = 0; b < 8; ++b) v |= static_cast<u64>(p[b]) << (8 * b);
-  return v;
-}
-
 }  // namespace
-
-bool is_chunked_stream(std::span<const u8> stream) {
-  return stream.size() >= 4 && std::memcmp(stream.data(), kMagic, 4) == 0;
-}
 
 void write_container_prefix(std::vector<u8>& out, const ChunkedHeader& header,
                             std::span<const ChunkEntry> entries) {
@@ -90,18 +59,52 @@ void write_container_prefix(std::vector<u8>& out, const ChunkedHeader& header,
                "chunk container: table size drift");
 }
 
-ParsedContainer parse_container(std::span<const u8> stream) {
+std::size_t single_chunk_prefix_bytes(u64 element_count) {
+  ChunkedHeader h;
+  h.chunk_count = element_count > 0 ? 1 : 0;
+  return h.payload_start();
+}
+
+void frame_single_chunk(std::vector<u8>& stream, u32 codec_header_bytes,
+                        u32 block_size, u64 element_count, f64 eps_abs) {
+  CERESZ_CHECK(block_size > 0, "chunk container: zero block size");
+  ChunkedHeader h;
+  h.codec_header_bytes = codec_header_bytes;
+  h.block_size = block_size;
+  h.chunk_count = element_count > 0 ? 1 : 0;
+  h.element_count = element_count;
+  h.chunk_elems = (element_count / block_size +
+                   (element_count % block_size != 0 ? 1 : 0)) *
+                  block_size;
+  h.eps_abs = eps_abs;
+  const std::size_t start = h.payload_start();
+  CERESZ_CHECK(stream.size() >= start,
+               "chunk container: no room reserved for the prefix");
+  std::vector<ChunkEntry> entries(h.chunk_count);
+  if (element_count > 0) {
+    const std::span<const u8> payload(stream.data() + start,
+                                      stream.size() - start);
+    entries[0] = {start, payload.size(), element_count, crc32c(payload)};
+  } else {
+    CERESZ_CHECK(stream.size() == start,
+                 "chunk container: records for an empty input");
+  }
+  std::vector<u8> prefix;
+  write_container_prefix(prefix, h, entries);
+  std::copy(prefix.begin(), prefix.end(), stream.begin());
+}
+
+ChunkedHeader parse_container_header(std::span<const u8> stream) {
   CERESZ_CHECK(stream.size() >= ChunkedHeader::kHeaderBytes,
                "chunk container: stream shorter than header");
-  CERESZ_CHECK(is_chunked_stream(stream),
-               "chunk container: bad magic — not a CereSZ chunked stream");
+  CERESZ_CHECK(std::memcmp(stream.data(), kMagic, 4) == 0,
+               "chunk container: bad magic — not a CereSZ stream");
 
   const u32 stored_header_crc = read_u32(stream.data() + 44);
   CERESZ_CHECK(crc32c(stream.subspan(0, 44)) == stored_header_crc,
                "chunk container: header CRC mismatch (corrupt header)");
 
-  ParsedContainer parsed;
-  ChunkedHeader& h = parsed.header;
+  ChunkedHeader h;
   h.version = stream[4];
   h.codec_header_bytes = stream[5];
   h.block_size = read_u16(stream.data() + 6);
@@ -119,6 +122,11 @@ ParsedContainer parse_container(std::span<const u8> stream) {
                "chunk container: corrupt header (non-positive error bound)");
   CERESZ_CHECK(h.chunk_elems > 0 || h.element_count == 0,
                "chunk container: corrupt header (zero chunk size)");
+  // Whole blocks per chunk: consecutive chunks' records then form one
+  // block sequence, and only the last chunk can end in a partial block.
+  CERESZ_CHECK(h.chunk_elems % h.block_size == 0,
+               "chunk container: corrupt header (chunk size is not a "
+               "multiple of the block size)");
   // Structural consistency: the chunk count must be exactly the one implied
   // by element_count / chunk_elems. Computed without ceil-style addition so
   // hostile 2^64-scale values cannot wrap.
@@ -130,6 +138,13 @@ ParsedContainer parse_container(std::span<const u8> stream) {
   CERESZ_CHECK(h.chunk_count == expected_chunks,
                "chunk container: chunk count does not match element count "
                "and chunk size");
+  return h;
+}
+
+ParsedContainer parse_container(std::span<const u8> stream) {
+  ParsedContainer parsed;
+  parsed.header = parse_container_header(stream);
+  const ChunkedHeader& h = parsed.header;
   // Bound the table size by the stream before allocating for it.
   CERESZ_CHECK(stream.size() >= ChunkedHeader::kHeaderBytes + h.table_bytes(),
                "chunk container: truncated chunk table");
@@ -188,6 +203,18 @@ ParsedContainer parse_container(std::span<const u8> stream) {
   CERESZ_CHECK(expected_offset == stream.size(),
                "chunk container: trailing bytes after the last chunk");
   return parsed;
+}
+
+std::span<const u8> verified_payload(std::span<const u8> stream,
+                                     const ParsedContainer& parsed,
+                                     u64 index) {
+  const ChunkEntry& e = parsed.entries[index];
+  const std::span<const u8> payload =
+      stream.subspan(e.offset, e.compressed_bytes);
+  CERESZ_CHECK(crc32c(payload) == e.crc32c,
+               "chunk " + std::to_string(index) +
+                   " failed its CRC32C check (corrupt payload)");
+  return payload;
 }
 
 }  // namespace ceresz::io

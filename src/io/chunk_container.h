@@ -1,8 +1,10 @@
-// Chunked container framing for the parallel engine: a self-describing
-// format holding independently compressed chunks with a chunk table
-// (offsets, element counts, per-chunk CRC32C) so readers can decompress
-// chunks in parallel, access chunks randomly, and localize corruption to
-// a single chunk.
+// The CereSZ stream container ("CSZC"): every CereSZ stream, whoever
+// writes it, is one of these. It holds independently decodable chunks of
+// block records with a chunk table (offsets, element counts, per-chunk
+// CRC32C), so readers can decompress chunks in parallel, access chunks
+// randomly, and localize corruption to a single chunk. The parallel
+// engine writes one chunk per chunk_elems elements; the single-stream
+// writers (core::StreamCodec, mapping::WaferMapper) write one chunk.
 //
 // Layout (all integers little-endian):
 //
@@ -14,7 +16,8 @@
 //     8  u32 flags (reserved, 0)
 //     12 u32 chunk_count
 //     16 u64 element_count
-//     24 u64 chunk_elems       (elements per chunk; last chunk may be short)
+//     24 u64 chunk_elems       (elements per chunk, a multiple of
+//                               block_size; last chunk may be short)
 //     32 u64 eps_abs bits      (resolved absolute bound, f64 bit pattern)
 //     40 u32 reserved (0)
 //     44 u32 CRC32C of bytes [0, 44)
@@ -28,9 +31,9 @@
 //   followed by u32 CRC32C of the whole table
 //
 //   payloads, in chunk order. Each payload is a run of CereSZ block
-//   records exactly as core::StreamCodec emits them — chunk_elems is a
-//   multiple of the block size, so the concatenated payloads are
-//   bit-identical to the body of the equivalent single-stream container.
+//   records (core::BlockCodec::encode_blocks). chunk_elems is a multiple
+//   of the block size, so the concatenated payloads of any chunking are
+//   the same block sequence, bit for bit.
 #pragma once
 
 #include <span>
@@ -67,26 +70,46 @@ struct ChunkedHeader {
   std::size_t payload_start() const { return kHeaderBytes + table_bytes(); }
 };
 
-/// True if `stream` starts with the chunked-container magic "CSZC"
-/// (cheap sniff; does not validate anything else).
-bool is_chunked_stream(std::span<const u8> stream);
-
 /// Serialize header + chunk table (with CRCs) into `out`, which must be
 /// empty. Entry offsets must already be absolute and in ascending order.
 void write_container_prefix(std::vector<u8>& out, const ChunkedHeader& header,
                             std::span<const ChunkEntry> entries);
 
-/// Parsed view of a chunked stream.
+/// Bytes in front of the payload of a one-chunk container of
+/// `element_count` elements (an empty one has no table entry).
+std::size_t single_chunk_prefix_bytes(u64 element_count);
+
+/// Frame block records as the one-chunk container every single-stream
+/// writer emits. `stream` holds single_chunk_prefix_bytes(element_count)
+/// placeholder bytes followed by the records of `element_count` elements;
+/// the header and chunk table are written over the placeholder.
+/// chunk_elems is element_count rounded up to the block size, and an
+/// empty input has zero chunks.
+void frame_single_chunk(std::vector<u8>& stream, u32 codec_header_bytes,
+                        u32 block_size, u64 element_count, f64 eps_abs);
+
+/// Parsed view of a container.
 struct ParsedContainer {
   ChunkedHeader header;
   std::vector<ChunkEntry> entries;
 };
 
+/// Parse and validate the header alone: magic, version, header CRC, and
+/// that its fields are consistent. Throws ceresz::Error on any violation.
+ChunkedHeader parse_container_header(std::span<const u8> stream);
+
 /// Parse and validate header + chunk table: magic, version, header CRC,
-/// table CRC, offset monotonicity and bounds, and that per-chunk element
-/// counts sum to the header's element count. Throws ceresz::Error on any
-/// violation. Payload CRCs are NOT checked here — that is the reader's
-/// per-chunk job, so corruption stays localized.
+/// table CRC, chunk_elems a multiple of block_size, offset monotonicity
+/// and bounds, and that per-chunk element counts sum to the header's
+/// element count. Throws ceresz::Error on any violation. Payload CRCs are
+/// NOT checked here — that is the reader's per-chunk job (see
+/// verified_payload), so corruption stays localized.
 ParsedContainer parse_container(std::span<const u8> stream);
+
+/// The payload bytes of chunk `index`, after checking them against the
+/// chunk's CRC32C. Throws ceresz::Error naming the chunk on a mismatch.
+std::span<const u8> verified_payload(std::span<const u8> stream,
+                                     const ParsedContainer& parsed,
+                                     u64 index);
 
 }  // namespace ceresz::io

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <string>
 
 #include "common/error.h"
+#include "io/chunk_container.h"
 #include "mapping/perf_model.h"
 #include "mapping/pipeline_program.h"
 #include "obs/analysis/model_check.h"
@@ -99,15 +101,6 @@ RowAssignment assign_blocks(u64 n_blocks, const DegradedLayout& layout,
     }
   }
   return a;
-}
-
-void append_u16(std::vector<u8>& out, u16 v) {
-  out.push_back(static_cast<u8>(v & 0xff));
-  out.push_back(static_cast<u8>(v >> 8));
-}
-
-void append_u64(std::vector<u8>& out, u64 v) {
-  for (int b = 0; b < 8; ++b) out.push_back(static_cast<u8>((v >> (8 * b)) & 0xff));
 }
 
 /// Sub-stage family label used in enriched trace thread names and in
@@ -403,21 +396,14 @@ WaferRunResult WaferMapper::compress(std::span<const f32> data,
       records[rec.tag] = rec.bytes;
     }
     auto& out = result.stream;
-    out.reserve(24 + n_blocks * 8);
-    const char magic[4] = {'C', 'S', 'Z', '1'};
-    out.insert(out.end(), magic, magic + 4);
-    out.push_back(static_cast<u8>(options_.codec.header_bytes));
-    out.push_back(options_.codec.zero_block_shortcut ? u8{1} : u8{0});
-    append_u16(out, static_cast<u16>(L));
-    append_u64(out, data.size());
-    u64 eps_bits;
-    std::memcpy(&eps_bits, &result.eps_abs, sizeof(eps_bits));
-    append_u64(out, eps_bits);
+    out.assign(io::single_chunk_prefix_bytes(data.size()), 0);
     for (u64 b = 0; b < n_blocks; ++b) {
       CERESZ_CHECK(!records[b].empty(),
                    "WaferMapper: block never emerged from the wafer");
       out.insert(out.end(), records[b].begin(), records[b].end());
     }
+    io::frame_single_chunk(out, options_.codec.header_bytes, L, data.size(),
+                           result.eps_abs);
   }
   record_mapper_metrics(options_.metrics, result);
   return result;
@@ -425,57 +411,49 @@ WaferRunResult WaferMapper::compress(std::span<const f32> data,
 
 WaferRunResult WaferMapper::decompress(std::span<const u8> stream) const {
   const u32 L = options_.codec.block_size;
-  core::StreamCodec codec(options_.codec);
-  // Parse the container header via the codec (validates magic/config).
-  // We only need element count and eps; a cheap way that reuses the
-  // validation is to index the records ourselves after checking the size.
-  CERESZ_CHECK(stream.size() >= core::StreamCodec::header_size(),
-               "WaferMapper::decompress: truncated stream");
-  CERESZ_CHECK(std::memcmp(stream.data(), "CSZ1", 4) == 0,
-               "WaferMapper::decompress: bad magic");
-  u64 element_count = 0;
-  for (int b = 0; b < 8; ++b) {
-    element_count |= static_cast<u64>(stream[8 + b]) << (8 * b);
-  }
-  u64 eps_bits = 0;
-  for (int b = 0; b < 8; ++b) {
-    eps_bits |= static_cast<u64>(stream[16 + b]) << (8 * b);
-  }
-  f64 eps_abs;
-  std::memcpy(&eps_abs, &eps_bits, sizeof(eps_abs));
-  CERESZ_CHECK(eps_abs > 0.0, "WaferMapper::decompress: corrupt bound");
+  const io::ParsedContainer parsed = io::parse_container(stream);
+  core::check_container_config(parsed.header, options_.codec);
+  const u64 element_count = parsed.header.element_count;
+  const f64 eps_abs = parsed.header.eps_abs;
+  CERESZ_CHECK(element_count > 0, "WaferMapper::decompress: empty stream");
 
   WaferRunResult result;
   obs::SpanGuard run_span(options_.tracer, "mapper.decompress", "mapper",
                           "bytes", static_cast<i64>(stream.size()));
   result.eps_abs = eps_abs;
   const u64 n_blocks = (element_count + L - 1) / L;
-  // Corrupt-header guard: every record is at least header_bytes wide.
-  CERESZ_CHECK(n_blocks <= (stream.size() - core::StreamCodec::header_size()) /
-                               options_.codec.header_bytes,
-               "WaferMapper::decompress: corrupt header (element count "
-               "exceeds what the stream could hold)");
   result.total_blocks = n_blocks;
 
-  // Index the block records and find the stream's maximum fixed length
-  // (known up front on a real deployment — it is what the decompression
-  // pipeline is scheduled for).
-  const core::BlockCodec& bc = codec.block_codec();
+  // Index the block records chunk by chunk and find the stream's maximum
+  // fixed length (known up front on a real deployment — it is what the
+  // decompression pipeline is scheduled for). Chunks hold whole blocks
+  // and their payloads are contiguous, so block b's record spans
+  // [offsets[b], offsets[b + 1]).
+  const core::BlockCodec bc(options_.codec);
   std::vector<u64> offsets(n_blocks + 1);
   u32 max_fl = 1;
   {
     obs::SpanGuard span(options_.tracer, "mapper.profile", "mapper");
-    u64 pos = core::StreamCodec::header_size();
-    for (u64 b = 0; b < n_blocks; ++b) {
-      offsets[b] = pos;
-      const std::size_t rec = bc.record_size(stream.subspan(pos));
-      // Header low byte is the fixed length (<= 32).
-      max_fl = std::max(max_fl, static_cast<u32>(stream[pos]));
-      pos += rec;
-      CERESZ_CHECK(pos <= stream.size(),
-                   "WaferMapper::decompress: truncated stream");
+    u64 b = 0;
+    for (u64 c = 0; c < parsed.entries.size(); ++c) {
+      const std::span<const u8> payload = io::verified_payload(stream, parsed, c);
+      const u64 chunk_blocks = (parsed.entries[c].element_count + L - 1) / L;
+      std::size_t pos = 0;
+      for (u64 k = 0; k < chunk_blocks; ++k, ++b) {
+        offsets[b] = parsed.entries[c].offset + pos;
+        const std::size_t rec = bc.record_size(payload.subspan(pos));
+        // Header low byte is the fixed length (<= 32).
+        max_fl = std::max(max_fl, static_cast<u32>(payload[pos]));
+        CERESZ_CHECK(rec <= payload.size() - pos,
+                     "WaferMapper::decompress: chunk " + std::to_string(c) +
+                         " is truncated");
+        pos += rec;
+      }
+      CERESZ_CHECK(pos == payload.size(),
+                   "WaferMapper::decompress: chunk " + std::to_string(c) +
+                       " has trailing bytes after its last block record");
     }
-    offsets[n_blocks] = pos;
+    offsets[n_blocks] = stream.size();
   }
 
   result.profile.eps_abs = eps_abs;

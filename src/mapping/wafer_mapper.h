@@ -1,7 +1,9 @@
 // End-to-end CereSZ on the simulated wafer: profiles the data, schedules
 // the pipeline (Algorithm 1), installs the row programs, runs the fabric,
 // and reports throughput exactly as the paper measures it (max PE cycle
-// counter / 850 MHz, Section 5.1.1).
+// counter / 850 MHz, Section 5.1.1). The records that leave the wafer are
+// framed as the one-chunk CereSZ container (io/chunk_container.h), so the
+// stream is bit-identical to core::StreamCodec's.
 //
 // Scaling strategy: CereSZ's rows never communicate (the basis of the
 // paper's Fig. 7 linear row scaling), which the simulator exploits twice.
@@ -127,7 +129,8 @@ struct WaferRunResult {
   wse::RunStats run_stats;
   /// Per-PE stats of row 0 (for the Fig. 10-style profiles).
   std::vector<wse::PeStats> row0_stats;
-  /// Compressed stream (compress) — byte-identical to StreamCodec.
+  /// Compressed stream (compress): the one-chunk container,
+  /// byte-identical to StreamCodec's.
   std::vector<u8> stream;
   /// Reconstructed values (decompress).
   std::vector<f32> output;
@@ -143,7 +146,10 @@ class WaferMapper {
   WaferRunResult compress(std::span<const f32> data,
                           core::ErrorBound bound) const;
 
-  /// Decompress a stream produced by compress()/StreamCodec on the wafer.
+  /// Decompress a stream on the wafer: a non-empty container of any
+  /// chunk count written with this mapper's codec configuration (by
+  /// compress(), core::StreamCodec or engine::ParallelEngine). Every
+  /// chunk's CRC32C is checked, and its records must fill it exactly.
   WaferRunResult decompress(std::span<const u8> stream) const;
 
  private:

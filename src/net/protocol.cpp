@@ -6,45 +6,13 @@
 
 #include "common/checksum.h"
 #include "common/error.h"
+#include "common/little_endian.h"
 
 namespace ceresz::net {
 
 namespace {
 
 constexpr char kMagic[4] = {'C', 'S', 'N', 'P'};
-
-void append_u16(std::vector<u8>& out, u16 v) {
-  out.push_back(static_cast<u8>(v & 0xff));
-  out.push_back(static_cast<u8>(v >> 8));
-}
-
-void append_u32(std::vector<u8>& out, u32 v) {
-  for (int b = 0; b < 4; ++b) {
-    out.push_back(static_cast<u8>((v >> (8 * b)) & 0xff));
-  }
-}
-
-void append_u64(std::vector<u8>& out, u64 v) {
-  for (int b = 0; b < 8; ++b) {
-    out.push_back(static_cast<u8>((v >> (8 * b)) & 0xff));
-  }
-}
-
-u16 read_u16(const u8* p) {
-  return static_cast<u16>(p[0] | (static_cast<u16>(p[1]) << 8));
-}
-
-u32 read_u32(const u8* p) {
-  u32 v = 0;
-  for (int b = 0; b < 4; ++b) v |= static_cast<u32>(p[b]) << (8 * b);
-  return v;
-}
-
-u64 read_u64(const u8* p) {
-  u64 v = 0;
-  for (int b = 0; b < 8; ++b) v |= static_cast<u64>(p[b]) << (8 * b);
-  return v;
-}
 
 u64 f64_bits(f64 v) {
   u64 bits;

@@ -48,9 +48,12 @@ TEST(ParallelEngine, ChunkPayloadsBitIdenticalToStreamCodec) {
   const auto parsed = io::parse_container(chunked.stream);
   ASSERT_FALSE(parsed.entries.empty());
 
-  // The concatenated chunk payloads must equal the single-stream body.
-  std::span<const u8> body(single.stream.data() + core::StreamCodec::header_size(),
-                           single.stream.size() - core::StreamCodec::header_size());
+  // The concatenated chunk payloads must equal the single stream's one
+  // payload.
+  const auto single_parsed = io::parse_container(single.stream);
+  ASSERT_EQ(single_parsed.entries.size(), 1u);
+  std::span<const u8> body(single.stream.data() + single_parsed.entries[0].offset,
+                           single_parsed.entries[0].compressed_bytes);
   std::span<const u8> payloads(chunked.stream.data() + parsed.entries[0].offset,
                                chunked.stream.size() - parsed.entries[0].offset);
   ASSERT_EQ(payloads.size(), body.size());
@@ -321,6 +324,32 @@ TEST(ParallelEngine, RejectsPayloadLengthOverflow) {
   EXPECT_THROW(io::parse_container(stream), Error);
 }
 
+TEST(ParallelEngine, RejectsChunkSizeThatSplitsABlock) {
+  // chunk_elems must be a whole number of blocks, or consecutive chunks'
+  // records would not form one block sequence.
+  const auto data = test::smooth_signal(1000);
+  auto stream = core::StreamCodec()
+                    .compress(data, core::ErrorBound::absolute(1e-3))
+                    .stream;
+  patch_u64(stream, 24, 1000);  // header chunk_elems: 1024 -> 1000
+  reseal(stream);
+  EXPECT_THROW(io::parse_container(stream), Error);
+}
+
+TEST(ParallelEngine, RejectsTrailingBytes) {
+  const auto data = test::smooth_signal(1000);
+  const core::ErrorBound bound = core::ErrorBound::absolute(1e-3);
+  const ParallelEngine strict(small_chunks(2, 256));
+  const ParallelEngine lenient(small_chunks(2, 256, true));
+  for (auto stream : {strict.compress(data, bound).stream,
+                      core::StreamCodec().compress(data, bound).stream}) {
+    stream.insert(stream.end(), 100, u8{0});
+    // The container's structure is wrong, so even lenient mode refuses it.
+    EXPECT_THROW(strict.decompress(stream), Error);
+    EXPECT_THROW(lenient.decompress(stream), Error);
+  }
+}
+
 TEST(ChunkContainer, WriterRejectsFieldsThatDoNotFitTheirEncoding) {
   std::vector<u8> out;
   io::ChunkedHeader header;
@@ -333,16 +362,14 @@ TEST(ChunkContainer, WriterRejectsFieldsThatDoNotFitTheirEncoding) {
   EXPECT_THROW(io::write_container_prefix(out, header, {}), Error);
 }
 
-TEST(ParallelEngine, RejectsLegacyStreamAndMismatchedConfig) {
+TEST(ParallelEngine, DecodesStreamCodecStreamAndRejectsMismatchedConfig) {
   const auto data = test::smooth_signal(1024);
   const core::StreamCodec codec;
-  const auto legacy = codec.compress(data, core::ErrorBound::absolute(1e-3));
+  const auto single = codec.compress(data, core::ErrorBound::absolute(1e-3));
   const ParallelEngine eng(small_chunks(2));
-  EXPECT_FALSE(ParallelEngine::is_chunked_stream(legacy.stream));
-  EXPECT_THROW(eng.decompress(legacy.stream), Error);
+  EXPECT_EQ(eng.decompress(single.stream).values, codec.decompress(single.stream));
 
   const auto chunked = eng.compress(data, core::ErrorBound::absolute(1e-3));
-  EXPECT_TRUE(ParallelEngine::is_chunked_stream(chunked.stream));
   EngineOptions other = small_chunks(2);
   other.codec.header_bytes = 1;
   const ParallelEngine reader(other);

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "common/error.h"
+#include "io/chunk_container.h"
 #include "test_util.h"
 
 namespace ceresz::core {
@@ -54,15 +56,20 @@ TEST(StreamCodec, SparseDataApproachesHeaderCap) {
   // cap is 32x (CereSZ); with 1-byte headers 128x (SZp/cuSZp).
   const std::vector<f32> zeros(32 * 4096, 0.0f);
 
+  // The payload is exactly one header per block; the container prefix
+  // in front of it is a fixed 84 bytes.
   const StreamCodec ceresz_codec;  // default: 4-byte headers
   const auto r4 = ceresz_codec.compress(zeros, ErrorBound::absolute(1e-2));
   EXPECT_NEAR(r4.compression_ratio(), 32.0, 0.5);
+  EXPECT_EQ(io::parse_container(r4.stream).entries.at(0).compressed_bytes,
+            4096u * 4);
 
   CodecConfig szp;
   szp.header_bytes = 1;
   const StreamCodec szp_codec(szp);
   const auto r1 = szp_codec.compress(zeros, ErrorBound::absolute(1e-2));
-  EXPECT_NEAR(r1.compression_ratio(), 128.0, 2.0);
+  EXPECT_EQ(io::parse_container(r1.stream).entries.at(0).compressed_bytes,
+            4096u * 1);
 }
 
 TEST(StreamCodec, StatsTrackZeroBlocks) {
@@ -131,6 +138,33 @@ TEST(StreamCodec, RejectsTruncatedStream) {
   const auto result = codec.compress(data, ErrorBound::absolute(1e-3));
   std::span<const u8> cut(result.stream.data(), result.stream.size() / 2);
   EXPECT_THROW(codec.decompress(cut), Error);
+}
+
+TEST(StreamCodec, RejectsTrailingBytes) {
+  const StreamCodec codec;
+  const auto data = test::smooth_signal(1000);
+  auto stream = codec.compress(data, ErrorBound::absolute(1e-3)).stream;
+  stream.insert(stream.end(), 100, u8{0});
+  EXPECT_THROW(codec.decompress(stream), Error);
+}
+
+TEST(ContainerFraming, SingleChunkLayout) {
+  // n rounded up to the block size per chunk; an empty input has zero
+  // chunks and no payload.
+  const StreamCodec codec;
+  const auto r = codec.compress(test::smooth_signal(1000),
+                                ErrorBound::absolute(1e-3));
+  const auto parsed = io::parse_container(r.stream);
+  EXPECT_EQ(parsed.header.chunk_count, 1u);
+  EXPECT_EQ(parsed.header.chunk_elems, 1024u);
+  EXPECT_EQ(parsed.header.eps_abs, r.eps_abs);
+  EXPECT_EQ(parsed.entries[0].offset, io::single_chunk_prefix_bytes(1000));
+
+  const auto empty = codec.compress(std::vector<f32>{},
+                                    ErrorBound::absolute(1e-3));
+  const auto parsed_empty = io::parse_container(empty.stream);
+  EXPECT_EQ(parsed_empty.header.chunk_count, 0u);
+  EXPECT_EQ(empty.stream.size(), io::single_chunk_prefix_bytes(0));
 }
 
 TEST(StreamCodec, EmptyInput) {

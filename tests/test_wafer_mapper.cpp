@@ -167,6 +167,40 @@ TEST(WaferMapper, PlanRespectsPipelineLength) {
   EXPECT_EQ(run.pipelines_per_row, 2u);
 }
 
+TEST(WaferMapper, RejectsEmptyStream) {
+  // A valid, empty StreamCodec stream: there is nothing to run on the
+  // wafer, and compress() rejects empty input the same way.
+  const core::StreamCodec host;
+  const auto empty = host.compress(std::vector<f32>{},
+                                   core::ErrorBound::absolute(1e-3));
+  const WaferMapper mapper(options(1, 4));
+  EXPECT_THROW(mapper.decompress(empty.stream), Error);
+}
+
+TEST(WaferMapper, RejectsTrailingBytes) {
+  const auto data = test::smooth_signal(1000, 2);
+  const WaferMapper mapper(options(1, 4));
+  auto stream = mapper.compress(data, core::ErrorBound::absolute(1e-3)).stream;
+  stream.insert(stream.end(), 100, u8{0});
+  EXPECT_THROW(mapper.decompress(stream), Error);
+}
+
+TEST(WaferMapper, RejectsMismatchedCodecConfig) {
+  // All-zero blocks are bare headers, so a reader that ignored the
+  // stream's header-width or block-size field would misread them
+  // without tripping over a malformed record.
+  const std::vector<f32> zeros(32 * 64, 0.0f);
+  const core::StreamCodec host;  // 4-byte headers, L = 32
+  const auto stream =
+      host.compress(zeros, core::ErrorBound::absolute(1e-3)).stream;
+  MapperOptions narrow = options(1, 4);
+  narrow.codec.header_bytes = 2;
+  EXPECT_THROW(WaferMapper(narrow).decompress(stream), Error);
+  MapperOptions wide = options(1, 4);
+  wide.codec.block_size = 64;
+  EXPECT_THROW(WaferMapper(wide).decompress(stream), Error);
+}
+
 TEST(WaferMapper, InvalidConfigThrows) {
   EXPECT_THROW(WaferMapper(options(0, 4)), Error);
   EXPECT_THROW(WaferMapper(options(1, 4, 5)), Error);  // PL > cols

@@ -36,9 +36,8 @@ int usage() {
                "  ceresz list       <in.csza>\n"
                "  ceresz extract    <in.csza> <field-name> <out.f32>\n"
                "\n"
-               "  --threads N      worker threads (N > 1 uses the parallel\n"
-               "                   engine's chunked container; 1 = legacy\n"
-               "                   single-stream format)\n"
+               "  --threads N      worker threads of the parallel engine\n"
+               "                   (the output bytes do not depend on N)\n"
                "  --chunk-elems N  elements per chunk (multiple of 32)\n"
                "  --lenient        zero-fill corrupt chunks on decompress\n"
                "                   instead of aborting; exits 3 (instead of\n"
@@ -47,8 +46,8 @@ int usage() {
                "                   (open in Perfetto / chrome://tracing)\n"
                "  --metrics-out F  write the run's metrics: Prometheus text\n"
                "                   if F ends in .prom, JSON otherwise\n"
-               "  --stats-json F   write engine run stats as JSON (parallel\n"
-               "                   engine paths, i.e. --threads > 1)\n"
+               "  --stats-json F   write engine run stats as JSON (compress,\n"
+               "                   decompress)\n"
                "\n"
                "exit codes: 0 success, 1 runtime error (bad stream, I/O),\n"
                "2 usage error, 3 lenient decompress recovered with losses\n");
@@ -248,67 +247,44 @@ std::vector<f32> load_f32(const std::string& path) {
 int cmd_compress(const Args& args, Observability& o) {
   if (args.positional.size() != 2) return usage();
   const auto values = load_f32(args.positional[0]);
-  if (args.threads > 1) {
-    const engine::ParallelEngine eng(engine_options(args, o));
-    const auto result = eng.compress(values, args.bound);
-    io::write_bytes(args.positional[1], result.stream);
-    std::printf("%zu values -> %s (ratio %.2fx, eps %g, %.1f%% zero "
-                "blocks)\n",
-                values.size(), fmt_bytes(result.stream.size()).c_str(),
-                result.compression_ratio(), result.eps_abs,
-                100.0 * result.stats.stream.zero_fraction());
-    print_engine_stats(result.stats);
-    if (!args.stats_json.empty()) write_stats_json(args.stats_json, result.stats);
-    return 0;
-  }
-  if (!args.stats_json.empty()) {
-    std::fprintf(stderr,
-                 "note: --stats-json reports parallel-engine stats; "
-                 "run with --threads > 1\n");
-  }
-  const core::StreamCodec codec;
-  const auto result = codec.compress(values, args.bound);
+  const engine::ParallelEngine eng(engine_options(args, o));
+  const auto result = eng.compress(values, args.bound);
   io::write_bytes(args.positional[1], result.stream);
-  std::printf("%zu values -> %s (ratio %.2fx, eps %g, %.1f%% zero blocks)\n",
+  std::printf("%zu values -> %s (ratio %.2fx, eps %g, %.1f%% zero "
+              "blocks)\n",
               values.size(), fmt_bytes(result.stream.size()).c_str(),
               result.compression_ratio(), result.eps_abs,
-              100.0 * result.stats.zero_fraction());
+              100.0 * result.stats.stream.zero_fraction());
+  print_engine_stats(result.stats);
+  if (!args.stats_json.empty()) write_stats_json(args.stats_json, result.stats);
   return 0;
 }
 
 int cmd_decompress(const Args& args, Observability& o) {
   if (args.positional.size() != 2) return usage();
   const auto stream = io::read_bytes(args.positional[0]);
-  std::vector<f32> values;
-  std::vector<u64> corrupt_chunks;
-  if (engine::ParallelEngine::is_chunked_stream(stream)) {
-    const engine::ParallelEngine eng(engine_options(args, o));
-    auto result = eng.decompress(stream);
-    print_engine_stats(result.stats);
-    if (!args.stats_json.empty()) write_stats_json(args.stats_json, result.stats);
-    values = std::move(result.values);
-    corrupt_chunks = std::move(result.corrupt_chunks);
-  } else {
-    const core::StreamCodec codec;
-    values = codec.decompress(stream);
-  }
+  const engine::ParallelEngine eng(engine_options(args, o));
+  const auto result = eng.decompress(stream);
+  print_engine_stats(result.stats);
+  if (!args.stats_json.empty()) write_stats_json(args.stats_json, result.stats);
+  const std::vector<f32>& values = result.values;
   std::vector<u8> bytes(values.size() * sizeof(f32));
   std::memcpy(bytes.data(), values.data(), bytes.size());
   io::write_bytes(args.positional[1], bytes);
   std::printf("%s -> %zu values\n", fmt_bytes(stream.size()).c_str(),
               values.size());
-  if (!corrupt_chunks.empty()) {
+  if (!result.corrupt_chunks.empty()) {
     // Partial recovery: the output was written, but some ranges are
     // zero-filled. Exit 3 so scripts can tell "recovered with losses"
     // (3) apart from "failed outright" (1) and "bad usage" (2).
     std::string list;
-    for (u64 c : corrupt_chunks) {
+    for (u64 c : result.corrupt_chunks) {
       if (!list.empty()) list += ", ";
       list += std::to_string(c);
     }
     std::fprintf(stderr,
                  "decompress: %zu corrupt chunk(s) zero-filled: %s\n",
-                 corrupt_chunks.size(), list.c_str());
+                 result.corrupt_chunks.size(), list.c_str());
     return 3;
   }
   return 0;
@@ -317,28 +293,18 @@ int cmd_decompress(const Args& args, Observability& o) {
 int cmd_info(const Args& args) {
   if (args.positional.size() != 1) return usage();
   const auto stream = io::read_bytes(args.positional[0]);
-  if (engine::ParallelEngine::is_chunked_stream(stream)) {
-    // Validating the header + table is enough to describe the container;
-    // payload CRCs are the reader's per-chunk job.
-    const auto parsed = io::parse_container(stream);
-    const f64 ratio =
-        static_cast<f64>(parsed.header.element_count * sizeof(f32)) /
-        static_cast<f64>(stream.size());
-    std::printf("valid CereSZ chunked stream: %llu values in %u chunk(s) "
-                "of %llu, %s compressed, ratio %.2fx\n",
-                static_cast<unsigned long long>(parsed.header.element_count),
-                parsed.header.chunk_count,
-                static_cast<unsigned long long>(parsed.header.chunk_elems),
-                fmt_bytes(stream.size()).c_str(), ratio);
-    return 0;
-  }
-  const core::StreamCodec codec;
-  // Decompressing validates the whole stream; report what we learn.
-  const auto values = codec.decompress(stream);
-  const f64 ratio = static_cast<f64>(values.size() * sizeof(f32)) /
-                    static_cast<f64>(stream.size());
-  std::printf("valid CereSZ stream: %zu values, %s compressed, ratio %.2fx\n",
-              values.size(), fmt_bytes(stream.size()).c_str(), ratio);
+  // Validating the header + table is enough to describe the container;
+  // payload CRCs are the reader's per-chunk job.
+  const auto parsed = io::parse_container(stream);
+  const f64 ratio =
+      static_cast<f64>(parsed.header.element_count * sizeof(f32)) /
+      static_cast<f64>(stream.size());
+  std::printf("valid CereSZ stream: %llu values in %u chunk(s) of %llu, "
+              "%s compressed, ratio %.2fx\n",
+              static_cast<unsigned long long>(parsed.header.element_count),
+              parsed.header.chunk_count,
+              static_cast<unsigned long long>(parsed.header.chunk_elems),
+              fmt_bytes(stream.size()).c_str(), ratio);
   return 0;
 }
 
