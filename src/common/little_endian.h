@@ -22,6 +22,15 @@ inline void append_u64(std::vector<u8>& out, u64 v) {
   for (int b = 0; b < 8; ++b) out.push_back(static_cast<u8>((v >> (8 * b)) & 0xff));
 }
 
+/// Overwrite a field in place (e.g. a length patched in after the fact).
+inline void write_u32(u8* p, u32 v) {
+  for (int b = 0; b < 4; ++b) p[b] = static_cast<u8>((v >> (8 * b)) & 0xff);
+}
+
+inline void write_u64(u8* p, u64 v) {
+  for (int b = 0; b < 8; ++b) p[b] = static_cast<u8>((v >> (8 * b)) & 0xff);
+}
+
 inline u16 read_u16(const u8* p) {
   return static_cast<u16>(p[0] | (static_cast<u16>(p[1]) << 8));
 }

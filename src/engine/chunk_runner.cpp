@@ -58,7 +58,7 @@ ChunkRunner::ChunkRunner(TaskGroup& tasks, RetryPolicy policy,
 }
 
 RunReport ChunkRunner::run(u64 n_chunks, const ChunkFn& fn,
-                           Deadline deadline) {
+                           Deadline deadline, const PrepareFn& prepare) {
   RunReport report;
   if (n_chunks == 0) return report;
   const bool timed = policy_.deadline_ms > 0 || deadline.has_value();
@@ -155,7 +155,10 @@ RunReport ChunkRunner::run(u64 n_chunks, const ChunkFn& fn,
     tasks_.submit(make_task(c, attempt, std::move(cancel)));
   };
 
-  for (u64 c = 0; c < n_chunks; ++c) dispatch(c);
+  for (u64 c = 0; c < n_chunks; ++c) {
+    if (prepare) prepare(c);
+    dispatch(c);
+  }
 
   std::unique_lock lock(rs->mu);
   while (resolved < n_chunks) {

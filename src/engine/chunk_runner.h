@@ -110,6 +110,11 @@ class ChunkRunner {
   using ChunkFn =
       std::function<void(u64 chunk, u32 attempt, const CancelToken& cancel)>;
 
+  /// Called on the calling thread, in chunk order, just before a chunk's
+  /// first attempt is dispatched (never for retries) — e.g. to make that
+  /// chunk's output range ready while earlier chunks already run.
+  using PrepareFn = std::function<void(u64 chunk)>;
+
   /// Attempts go to `tasks` (the run's group on its pool). `timer` cancels
   /// overdue attempts; it may be null only when runs have no deadline.
   ChunkRunner(TaskGroup& tasks, RetryPolicy policy, DeadlineTimer* timer);
@@ -117,8 +122,10 @@ class ChunkRunner {
   /// Run chunks [0, n_chunks) through `fn` until each one has either
   /// succeeded or terminally failed, then wait for the run's tasks to
   /// finish. Never throws for chunk failures — they come back in the
-  /// report for the caller's policy (strict/lenient) to apply.
-  RunReport run(u64 n_chunks, const ChunkFn& fn, Deadline deadline = {});
+  /// report for the caller's policy (strict/lenient) to apply. An
+  /// optional `prepare` runs before each chunk's first dispatch.
+  RunReport run(u64 n_chunks, const ChunkFn& fn, Deadline deadline = {},
+                const PrepareFn& prepare = {});
 
  private:
   TaskGroup& tasks_;

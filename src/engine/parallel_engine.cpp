@@ -312,22 +312,55 @@ EngineResult ParallelEngine::compress(std::span<const f32> data,
 DecompressResult ParallelEngine::decompress(std::span<const u8> stream,
                                             Deadline deadline) const {
   WallTimer timer;
+  const io::ParsedContainer parsed = io::parse_container(stream);
+  core::check_container_config(parsed.header, block_codec_.config());
+  const u64 n = parsed.header.element_count;
+  const u64 C = parsed.header.chunk_elems;
+
+  // The decode tasks are the values' only real writers. The vector grows
+  // to cover chunk c just before chunk c is dispatched, so its value-init
+  // (and the first touch of fresh pages) overlaps the decoding of earlier
+  // chunks instead of preceding all of it. Growing within the reserved
+  // capacity never reallocates: `out` stays valid for every task.
+  DecompressResult result;
+  result.values.reserve(n);
+  f32* const out = result.values.data();
+  static_cast<DecodeReport&>(result) = decode_chunks(
+      stream, parsed, out,
+      [&](u64 c) { result.values.resize(std::min(n, (c + 1) * C)); },
+      deadline, timer);
+  return result;
+}
+
+DecodeReport ParallelEngine::decompress_into(std::span<const u8> stream,
+                                             std::span<f32> out,
+                                             Deadline deadline) const {
+  WallTimer timer;
+  const io::ParsedContainer parsed = io::parse_container(stream);
+  core::check_container_config(parsed.header, block_codec_.config());
+  if (out.size() != parsed.header.element_count) {
+    throw Error("ParallelEngine::decompress_into: the output holds " +
+                std::to_string(out.size()) + " values but the stream has " +
+                std::to_string(parsed.header.element_count));
+  }
+  return decode_chunks(stream, parsed, out.data(), {}, deadline, timer);
+}
+
+DecodeReport ParallelEngine::decode_chunks(
+    std::span<const u8> stream, const io::ParsedContainer& parsed, f32* out,
+    const ChunkRunner::PrepareFn& prepare, Deadline deadline,
+    const WallTimer& timer) const {
   obs::Tracer* const tracer = options_.tracer;
   obs::MetricsRegistry reg;
   EngineMetrics em(reg);
-  const io::ParsedContainer parsed = io::parse_container(stream);
   const io::ChunkedHeader& h = parsed.header;
-  core::check_container_config(h, block_codec_.config());
   const u64 n = h.element_count;
 
   obs::SpanGuard run_span(tracer, "engine.decompress", "engine", "chunks",
                           static_cast<i64>(parsed.entries.size()), "elements",
                           static_cast<i64>(n));
 
-  DecompressResult result;
-  result.values.assign(n, 0.0f);
-  f32* out = result.values.data();
-
+  DecodeReport result;
   const u32 threads = resolved_threads();
   pool_->respawn_crashed();
   TaskGroup tasks(*pool_);
@@ -374,7 +407,7 @@ DecompressResult ParallelEngine::decompress(std::span<const u8> stream,
         em.chunk_seconds.observe(static_cast<f64>(now_ns() - attempt_start) *
                                  1e-9);
       },
-      deadline);
+      deadline, prepare);
 
   for (const ChunkFailure& f : report.failed) {
     if (!options_.lenient) throw Error(f.message);

@@ -8,6 +8,12 @@
 // table and per-chunk CRC32C. Output bytes are deterministic: chunk
 // boundaries depend only on chunk_elems, never on the thread count.
 //
+// Decompression writes each value once, from the decode tasks: every
+// chunk decodes straight into its slice of the output. decompress_into()
+// takes a caller-owned span; decompress() grows its vector chunk by chunk
+// just before each chunk is dispatched, so that memory's first touch
+// overlaps the decoding of earlier chunks instead of preceding it.
+//
 // Robustness: decompression verifies every chunk's CRC before decoding.
 // In strict mode (default) a corrupt chunk throws an Error naming the
 // chunk; in lenient mode the chunk's element range is zero-filled, its
@@ -35,6 +41,7 @@
 #include <span>
 #include <vector>
 
+#include "common/timer.h"
 #include "core/block_codec.h"
 #include "core/config.h"
 #include "core/stream_codec.h"
@@ -43,6 +50,7 @@
 #include "engine/engine_stats.h"
 #include "engine/fault_injection.h"
 #include "engine/thread_pool.h"
+#include "io/chunk_container.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -102,13 +110,18 @@ struct EngineResult {
   }
 };
 
-/// Result of ParallelEngine::decompress.
-struct DecompressResult {
-  std::vector<f32> values;
+/// Result of ParallelEngine::decompress_into (the values themselves went
+/// to the caller's span).
+struct DecodeReport {
   /// Chunk indices that failed CRC/decoding and were zero-filled
   /// (non-empty only in lenient mode).
   std::vector<u64> corrupt_chunks;
   EngineStats stats;
+};
+
+/// Result of ParallelEngine::decompress.
+struct DecompressResult : DecodeReport {
+  std::vector<f32> values;
 };
 
 class ParallelEngine {
@@ -139,7 +152,23 @@ class ParallelEngine {
   DecompressResult decompress(std::span<const u8> stream,
                               Deadline deadline = {}) const;
 
+  /// decompress(), but into memory the caller owns: each chunk decodes
+  /// straight into its own slice of `out`, which must hold exactly the
+  /// container's element_count values (otherwise Error, before anything
+  /// is written). In lenient mode a quarantined chunk's slice is zeroed.
+  DecodeReport decompress_into(std::span<const u8> stream,
+                               std::span<f32> out,
+                               Deadline deadline = {}) const;
+
  private:
+  /// The decode run shared by decompress() and decompress_into(): chunk
+  /// c writes out[c * chunk_elems, ...); `prepare` (may be empty) runs
+  /// before each chunk's first dispatch.
+  DecodeReport decode_chunks(std::span<const u8> stream,
+                             const io::ParsedContainer& parsed, f32* out,
+                             const ChunkRunner::PrepareFn& prepare,
+                             Deadline deadline, const WallTimer& timer) const;
+
   EngineOptions options_;
   core::BlockCodec block_codec_;
   std::unique_ptr<DeadlineTimer> timer_;

@@ -14,6 +14,11 @@ namespace {
 
 constexpr char kMagic[4] = {'C', 'S', 'N', 'P'};
 
+// Header offsets of the two payload fields (see append_frame_header):
+// magic(4) version(1) opcode(1) status(2) request_id(8), then these.
+constexpr std::size_t kPayloadBytesAt = 16;
+constexpr std::size_t kPayloadCrcAt = 24;
+
 u64 f64_bits(f64 v) {
   u64 bits;
   std::memcpy(&bits, &v, sizeof(bits));
@@ -107,10 +112,10 @@ FrameHeader parse_frame_header(std::span<const u8> bytes, u64 max_payload) {
                "net: unknown status code");
   h.status = static_cast<Status>(st);
   h.request_id = read_u64(p + 8);
-  h.payload_bytes = read_u64(p + 16);
+  h.payload_bytes = read_u64(p + kPayloadBytesAt);
   CERESZ_CHECK(h.payload_bytes <= max_payload,
                "net: declared payload exceeds the frame-size bound");
-  h.payload_crc = read_u32(p + 24);
+  h.payload_crc = read_u32(p + kPayloadCrcAt);
   h.tenant.tenant_id = read_u32(p + 28);
   h.tenant.priority = p[32];
   CERESZ_CHECK(h.tenant.priority <= kPriorityMax,
@@ -249,6 +254,42 @@ void append_frame(std::vector<u8>& out, Opcode op, Status status,
               payload.size());
   append_frame_header(out, h);
   out.insert(out.end(), payload.begin(), payload.end());
+}
+
+std::span<f32> begin_decompress_response(std::vector<u8>& frame,
+                                         u64 request_id, u64 count,
+                                         FrameMeta meta) {
+  CERESZ_CHECK(frame.empty(), "net: an in-place frame needs an empty buffer");
+  FrameHeader h;
+  h.version = meta.version;
+  h.opcode = Opcode::kDecompress;
+  h.status = Status::kOk;
+  h.request_id = request_id;
+  h.tenant = meta.tenant;
+  h.trace = meta.trace;
+  const std::size_t values_bytes = static_cast<std::size_t>(count) *
+                                   sizeof(f32);
+  frame.reserve(frame_header_bytes(meta.version) + sizeof(u64) +
+                values_bytes);
+  append_frame_header(frame, h);
+  append_u64(frame, count);
+  const std::size_t pos = frame.size();
+  frame.resize(pos + values_bytes);
+  u8* const p = frame.data() + pos;
+  CERESZ_CHECK(reinterpret_cast<std::uintptr_t>(p) % alignof(f32) == 0,
+               "net: DECOMPRESS response values would be misaligned");
+  return {reinterpret_cast<f32*>(p), static_cast<std::size_t>(count)};
+}
+
+void seal_frame(std::vector<u8>& frame) {
+  CERESZ_CHECK(frame.size() >= kFrameHeaderBytes &&
+                   frame.size() >= frame_header_bytes(frame[4]),
+               "net: no frame header to seal");
+  const std::span<const u8> payload =
+      std::span<const u8>(frame).subspan(frame_header_bytes(frame[4]));
+  write_u64(frame.data() + kPayloadBytesAt, payload.size());
+  write_u32(frame.data() + kPayloadCrcAt,
+            payload.empty() ? 0 : crc32c(payload));
 }
 
 bool payload_crc_ok(const FrameHeader& header, std::span<const u8> payload) {

@@ -262,6 +262,23 @@ void append_frame(std::vector<u8>& out, Opcode op, Status status,
                   u64 request_id, std::span<const u8> payload,
                   FrameMeta meta = {});
 
+/// Start a DECOMPRESS OK response in the empty buffer `frame`, for a
+/// sender that decodes straight into its send buffer: writes the frame
+/// header (payload_bytes and payload_crc still 0) and the element count,
+/// grows `frame` by `count` values, and returns those values as a
+/// writable view. The view starts 44 (v3) or 60 (v4) bytes into the
+/// buffer, so it is 4-byte aligned (checked). Write every value, then
+/// seal_frame(): the bytes equal append_frame() of an
+/// append_decompress_response() payload. `frame` must not be resized in
+/// between.
+std::span<f32> begin_decompress_response(std::vector<u8>& frame,
+                                         u64 request_id, u64 count,
+                                         FrameMeta meta = {});
+
+/// Fill in payload_bytes and payload_crc of the one frame `frame` holds
+/// (its payload runs to the end of the buffer).
+void seal_frame(std::vector<u8>& frame);
+
 /// Does `payload` match the CRC its header declared? Called by both
 /// peers after the payload read, before any decoding.
 bool payload_crc_ok(const FrameHeader& header, std::span<const u8> payload);

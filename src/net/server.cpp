@@ -13,6 +13,7 @@
 #include "common/timer.h"
 #include "core/kernels.h"
 #include "engine/bounded_queue.h"
+#include "io/chunk_container.h"
 #include "net/buffer_pool.h"
 #include "net/socket.h"
 #include "obs/log.h"
@@ -638,13 +639,27 @@ struct ServiceServer::Impl {
           finish("DEADLINE_EXPIRED");
           return;
         }
-        engine::DecompressResult result;
+        // The engine decodes straight into the response frame: header
+        // and count first, the values after them, then the payload
+        // fields. The buffer is sized from a fully validated container
+        // (parse_container carries the anti-bomb bound), never from a
+        // bare header.
+        const u64 count = io::parse_container(dreq.stream).header
+                              .element_count;
+        PooledBuffer out = pool_.acquire();
+        std::span<f32> values;
+        {
+          const obs::SpanGuard encode_span(options_.tracer, "server.encode",
+                                           "server", "request_id",
+                                           static_cast<i64>(id));
+          values = begin_decompress_response(*out, id, count, meta);
+        }
         {
           const obs::SpanGuard engine_span(options_.tracer, "server.engine",
                                            "server", "request_id",
                                            static_cast<i64>(id));
-          result = engine_.decompress(dreq.stream,
-                                      engine_deadline(deadline_ns));
+          engine_.decompress_into(dreq.stream, values,
+                                  engine_deadline(deadline_ns));
         }
         if (deadline_ns != 0 && now_ns() >= deadline_ns) {
           m_.deadline_expired.add(1);
@@ -653,14 +668,11 @@ struct ServiceServer::Impl {
           finish("DEADLINE_EXPIRED");
           return;
         }
-        PooledBuffer out = pool_.acquire();
         {
           const obs::SpanGuard encode_span(options_.tracer, "server.encode",
                                            "server", "request_id",
                                            static_cast<i64>(id));
-          std::vector<u8> body;
-          append_decompress_response(body, result.values);
-          append_frame(*out, op, Status::kOk, id, body, meta);
+          seal_frame(*out);
         }
         const obs::SpanGuard write_span(options_.tracer, "server.write",
                                         "server", "request_id",

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <ctime>
 #include <map>
+#include <set>
 
 #include "common/error.h"
 #include "obs/analysis/json.h"
@@ -32,6 +33,7 @@ const char* status_name(GateStatus s) {
     case GateStatus::kWarn: return "WARN";
     case GateStatus::kFail: return "FAIL";
     case GateStatus::kMissing: return "MISSING";
+    case GateStatus::kNoBaseline: return "NO-BASELINE";
   }
   return "?";
 }
@@ -151,6 +153,19 @@ GateReport evaluate_gate(const std::vector<HistoryRecord>& baseline,
     }
     report.results.push_back(std::move(res));
   }
+
+  std::set<std::string> baseline_keys;
+  for (const HistoryRecord& base : baseline) baseline_keys.insert(base.key());
+  for (const auto& [key, cur] : current_by_key) {
+    if (baseline_keys.count(key) != 0) continue;
+    GateResult res;
+    res.baseline = *cur;
+    res.current = cur->value;
+    res.status = GateStatus::kNoBaseline;
+    ++report.no_baseline;
+    ++report.warned;
+    report.results.push_back(std::move(res));
+  }
   return report;
 }
 
@@ -160,12 +175,15 @@ std::string render_gate(const GateReport& report) {
   out += pad("bench/metric", 44) + pad("baseline", 12) + pad("current", 12) +
          pad("deviation", 11) + pad("band", 9) + "status\n";
   for (const GateResult& r : report.results) {
-    std::string dev = r.status == GateStatus::kMissing
-                          ? "-"
-                          : fmt_g(r.deviation * 100.0) + "%";
+    const bool compared = r.status != GateStatus::kMissing &&
+                          r.status != GateStatus::kNoBaseline;
+    std::string dev = compared ? fmt_g(r.deviation * 100.0) + "%" : "-";
     std::string cur =
         r.status == GateStatus::kMissing ? "-" : fmt_g(r.current);
-    out += pad(r.baseline.key(), 44) + pad(fmt_g(r.baseline.value), 12) +
+    std::string base = r.status == GateStatus::kNoBaseline
+                           ? "-"
+                           : fmt_g(r.baseline.value);
+    out += pad(r.baseline.key(), 44) + pad(base, 12) +
            pad(cur, 12) + pad(dev, 11) +
            pad(fmt_g(r.baseline.noise * 100.0) + "%", 9) +
            status_name(r.status) + "\n";
@@ -173,7 +191,8 @@ std::string render_gate(const GateReport& report) {
   out += "summary: " + std::to_string(report.results.size()) + " metrics, " +
          std::to_string(report.failed) + " failed, " +
          std::to_string(report.warned) + " warned (" +
-         std::to_string(report.missing) + " missing)\n";
+         std::to_string(report.missing) + " missing, " +
+         std::to_string(report.no_baseline) + " without baseline)\n";
   out += report.failed ? "RESULT: FAIL\n"
                        : (report.warned ? "RESULT: WARN\n" : "RESULT: PASS\n");
   return out;

@@ -54,9 +54,13 @@ std::vector<HistoryRecord> parse_history_jsonl(std::string_view text);
 /// clock, $GITHUB_SHA / $CERESZ_GIT_SHA (first set wins), gethostname.
 void stamp_history_metadata(HistoryRecord& record);
 
-enum class GateStatus : u8 { kOk, kWarn, kFail, kMissing };
+/// kMissing: a baseline metric the current run did not produce.
+/// kNoBaseline: a current-run metric with no baseline record yet.
+enum class GateStatus : u8 { kOk, kWarn, kFail, kMissing, kNoBaseline };
 
 struct GateResult {
+  /// The baseline record; for kNoBaseline, the current record (only its
+  /// key, unit and direction are meaningful).
   HistoryRecord baseline;
   f64 current = 0.0;
   /// Relative change in the worse direction (negative = improvement).
@@ -69,13 +73,15 @@ struct GateReport {
   u32 warned = 0;
   u32 failed = 0;   ///< nonzero => the gate's process exit is nonzero
   u32 missing = 0;  ///< baseline metrics absent from the current run
+  u32 no_baseline = 0;  ///< current-run metrics absent from the baseline
 };
 
 /// Evaluate every baseline metric against the current run's records
-/// (matched by bench/metric key; extra current-run metrics are ignored
-/// — they become baselines on the next refresh). A baseline metric the
-/// current run did not produce is reported as kMissing and counted as
-/// a warning, not a failure.
+/// (matched by bench/metric key). A baseline metric the current run did
+/// not produce is reported as kMissing, and a current-run metric with
+/// no baseline (it becomes one on the next refresh) as kNoBaseline,
+/// after the baseline results in key order. Both count as warnings,
+/// never as failures.
 GateReport evaluate_gate(const std::vector<HistoryRecord>& baseline,
                          const std::vector<HistoryRecord>& current,
                          f64 hard_factor = 3.0);

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -548,6 +549,157 @@ TEST(EngineRuntime, ConcurrentCallsOnOneEngineMatchTheSingleThreadReference) {
         const auto back = shared.decompress(result.stream);
         if (!same_bits(back.values, big ? large_back : small_back)) {
           ++mismatches;
+        }
+      }
+    });
+  }
+  for (auto& c : callers) c.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+// --- decoding into caller-owned memory ---------------------------------------
+
+/// A span prefilled with NaN: any value a decode does not write shows.
+std::vector<f32> nan_filled(std::size_t n) {
+  return std::vector<f32>(n, std::numeric_limits<f32>::quiet_NaN());
+}
+
+TEST(DecompressInto, BitIdenticalToDecompressAndStreamCodec) {
+  // 1, 7 and 32 chunks, each with a partial last chunk, at 1 and 4
+  // threads: decompress_into, decompress() and StreamCodec agree bit for
+  // bit, and so do both thread counts.
+  const u64 chunk_elems = 1024;
+  const core::StreamCodec codec;
+  for (const u64 chunks : {1u, 7u, 32u}) {
+    const auto data = test::smooth_signal(chunks * chunk_elems - 100);
+    const auto stream =
+        ParallelEngine(small_chunks(1, chunk_elems))
+            .compress(data, core::ErrorBound::relative(1e-3))
+            .stream;
+    ASSERT_EQ(io::parse_container(stream).entries.size(), chunks);
+    const auto reference = codec.decompress(stream);
+    for (const u32 threads : {1u, 4u}) {
+      const ParallelEngine eng(small_chunks(threads, chunk_elems));
+      auto into = nan_filled(data.size());
+      const DecodeReport report = eng.decompress_into(stream, into);
+      EXPECT_TRUE(report.corrupt_chunks.empty());
+      EXPECT_EQ(report.stats.chunks, chunks);
+      EXPECT_TRUE(same_bits(into, reference))
+          << chunks << " chunks, " << threads << " threads";
+      EXPECT_TRUE(same_bits(eng.decompress(stream).values, reference))
+          << chunks << " chunks, " << threads << " threads";
+    }
+  }
+}
+
+TEST(DecompressInto, LenientQuarantineZeroesExactlyTheCorruptRange) {
+  const u64 chunk_elems = 1024;
+  const auto data = test::smooth_signal(10 * chunk_elems - 300);
+  auto stream = ParallelEngine(small_chunks(4, chunk_elems))
+                    .compress(data, core::ErrorBound::absolute(1e-3))
+                    .stream;
+  const auto clean = core::StreamCodec().decompress(stream);
+  corrupt_chunk(stream, 3);
+
+  const ParallelEngine lenient(small_chunks(4, chunk_elems, true));
+  auto out = nan_filled(data.size());
+  const DecodeReport report = lenient.decompress_into(stream, out);
+  EXPECT_EQ(report.corrupt_chunks, (std::vector<u64>{3}));
+  EXPECT_EQ(report.stats.quarantined, 1u);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    if (i / chunk_elems == 3) {
+      ASSERT_EQ(out[i], 0.0f) << "i=" << i;
+      ASSERT_FALSE(std::signbit(out[i])) << "i=" << i;
+    } else {
+      ASSERT_EQ(std::memcmp(&out[i], &clean[i], sizeof(f32)), 0)
+          << "i=" << i;
+    }
+  }
+}
+
+TEST(DecompressInto, WrongSizeSpanThrowsAndIsLeftUntouched) {
+  const auto data = test::smooth_signal(5000);
+  const ParallelEngine eng(small_chunks(4, 1024));
+  const auto stream =
+      eng.compress(data, core::ErrorBound::absolute(1e-3)).stream;
+  for (const std::size_t size : {data.size() - 1, data.size() + 1,
+                                 std::size_t{0}}) {
+    auto out = nan_filled(size);
+    EXPECT_THROW(eng.decompress_into(stream, out), Error) << size;
+    EXPECT_TRUE(std::all_of(out.begin(), out.end(),
+                            [](f32 v) { return std::isnan(v); }))
+        << size;
+  }
+}
+
+TEST(DecompressInto, StrictModeThrowsOnACorruptChunk) {
+  const auto data = test::smooth_signal(5000);
+  const ParallelEngine eng(small_chunks(4, 1024));
+  auto stream = eng.compress(data, core::ErrorBound::absolute(1e-3)).stream;
+  corrupt_chunk(stream, 2);
+  auto out = nan_filled(data.size());
+  EXPECT_THROW(eng.decompress_into(stream, out), Error);
+}
+
+TEST(DecompressInto, PipelinedDecompressSurvivesFaultsAndARunDeadline) {
+  // The vector decompress() grows chunk by chunk must come out the same
+  // when attempts throw, crash their worker, or stall past their
+  // deadline and are retried — retries never re-grow it.
+  const u64 chunk_elems = 1024;
+  const auto data = test::smooth_signal(24 * chunk_elems - 7);
+  const auto stream = ParallelEngine(small_chunks(1, chunk_elems))
+                          .compress(data, core::ErrorBound::relative(1e-3))
+                          .stream;
+  const auto reference = core::StreamCodec().decompress(stream);
+
+  EngineOptions opt = small_chunks(4, chunk_elems);
+  opt.faults.fail_chunk(0, 2);
+  opt.faults.fail_chunk(23, 1);
+  opt.faults.crash_chunk(5);
+  opt.faults.crash_chunk(11);
+  opt.faults.stall_ms = 10000;
+  opt.faults.stall_chunk(9);
+  opt.retry.deadline_ms = 200;
+  opt.retry.max_attempts = 4;
+  const ParallelEngine eng(opt);
+  const auto run_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+
+  const auto back = eng.decompress(stream, run_deadline);
+  EXPECT_TRUE(same_bits(back.values, reference));
+  EXPECT_TRUE(back.corrupt_chunks.empty());
+  // At least the injected ones: on a loaded host a healthy attempt may
+  // also overrun its deadline and be retried.
+  EXPECT_GE(back.stats.retries, 6u);
+  EXPECT_GE(back.stats.timeouts, 1u);
+  EXPECT_EQ(back.stats.worker_crashes, 2u);
+
+  auto into = nan_filled(data.size());
+  (void)eng.decompress_into(stream, into, run_deadline);
+  EXPECT_TRUE(same_bits(into, reference));
+}
+
+TEST(DecompressInto, ConcurrentCallersOnOneEngineDecodeIdentically) {
+  // 4 callers share one 4-worker engine, alternating the pipelined
+  // decompress() and decompress_into on a 32-chunk stream.
+  const auto data = test::smooth_signal(32 * 1024 - 11);
+  const ParallelEngine eng(small_chunks(4, 1024));
+  const auto stream =
+      eng.compress(data, core::ErrorBound::relative(1e-3)).stream;
+  const auto reference = core::StreamCodec().decompress(stream);
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 4; ++t) {
+    callers.emplace_back([&, t] {
+      for (int i = 0; i < 20; ++i) {
+        if ((i + t) % 2 == 0) {
+          if (!same_bits(eng.decompress(stream).values, reference)) {
+            ++mismatches;
+          }
+        } else {
+          auto out = nan_filled(data.size());
+          (void)eng.decompress_into(stream, out);
+          if (!same_bits(out, reference)) ++mismatches;
         }
       }
     });

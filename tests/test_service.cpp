@@ -3,6 +3,7 @@
 // load-shedding (BUSY), deadline, and hostile-input paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <limits>
@@ -14,6 +15,7 @@
 #include "common/timer.h"
 #include "core/kernels.h"
 #include "engine/parallel_engine.h"
+#include "io/chunk_container.h"
 #include "net/buffer_pool.h"
 #include "net/client.h"
 #include "net/protocol.h"
@@ -168,6 +170,37 @@ TEST(Protocol, DecompressRequestAndResponseRoundTrip) {
             0);
   resp.pop_back();
   EXPECT_THROW(decode_decompress_response(resp, decoded), Error);
+}
+
+TEST(Protocol, InPlaceDecompressResponseMatchesTheCopyingPath) {
+  // begin_decompress_response + seal_frame must produce the exact bytes
+  // of append_frame over an append_decompress_response payload, for v3
+  // and v4 frames and for an empty response.
+  for (const u8 version : {kProtocolVersionV3, kProtocolVersion}) {
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1000}}) {
+      const auto values = test::smooth_signal(n);
+      const FrameMeta meta(TenantTag{7, kPriorityInteractive},
+                           TraceTag{0xfeed, 0xbeef}, version);
+      std::vector<u8> body;
+      append_decompress_response(body, values);
+      std::vector<u8> copied;
+      append_frame(copied, Opcode::kDecompress, Status::kOk, 99, body, meta);
+
+      std::vector<u8> in_place;
+      const std::span<f32> out =
+          begin_decompress_response(in_place, 99, n, meta);
+      ASSERT_EQ(out.size(), n);
+      if (n > 0) {
+        EXPECT_EQ(reinterpret_cast<const u8*>(out.data()) - in_place.data(),
+                  static_cast<std::ptrdiff_t>(frame_header_bytes(version) +
+                                              sizeof(u64)));
+      }
+      std::copy(values.begin(), values.end(), out.begin());
+      seal_frame(in_place);
+      EXPECT_EQ(in_place, copied) << "version " << int{version} << ", n "
+                                  << n;
+    }
+  }
 }
 
 TEST(Protocol, HostileBytesNeverCrashTheDecoders) {
@@ -489,6 +522,70 @@ TEST(Service, CorruptStreamGetsTypedErrorAndConnectionSurvives) {
   const auto values = client.decompress(stream);
   EXPECT_EQ(values.size(), data.size());
   EXPECT_EQ(server.metrics().counter(kMetricErrorResponses).value(), 1u);
+}
+
+TEST(Service, MultiChunkDecompressIsDecodedIntoTheResponseFrame) {
+  // 1 Mi floats in 16 chunks: the server decodes every chunk straight
+  // into its response buffer, and the client (which checks the payload
+  // CRC) gets exactly the local engine's values, over v4 and v3.
+  ServerOptions opt = test_server();
+  opt.engine.chunk_elems = u64{64} * 1024;
+  ServiceServer server(opt);
+  server.start();
+
+  const auto data = test::smooth_signal(std::size_t{1} << 20);
+  const engine::ParallelEngine local(opt.engine);
+  const auto stream =
+      local.compress(data, core::ErrorBound::relative(1e-4)).stream;
+  ASSERT_EQ(io::parse_container(stream).entries.size(), 16u);
+  const auto reference = local.decompress(stream).values;
+
+  for (const u8 version : {kProtocolVersion, kProtocolVersionV3}) {
+    CereszClient client;
+    client.set_protocol_version(version);
+    client.connect("127.0.0.1", server.port());
+    for (int i = 0; i < 2; ++i) {  // the second reuses a pooled buffer
+      const std::vector<f32> values = client.decompress(stream);
+      ASSERT_EQ(values.size(), reference.size());
+      EXPECT_EQ(std::memcmp(values.data(), reference.data(),
+                            values.size() * sizeof(f32)),
+                0)
+          << "version " << int{version};
+    }
+  }
+}
+
+TEST(Service, CorruptChunkInAValidContainerGetsCorruptStream) {
+  // The container parses (so the response buffer is sized) but one
+  // chunk's payload fails its CRC: CORRUPT_STREAM, and the partly
+  // written buffer does not leak into the next response.
+  ServerOptions opt = test_server();
+  ServiceServer server(opt);
+  server.start();
+  CereszClient client;
+  client.connect("127.0.0.1", server.port());
+
+  const auto data = test::smooth_signal(8 * 2048);
+  const auto good = client.compress(data, core::ErrorBound::relative(1e-3));
+  auto bad = good;
+  const auto parsed = io::parse_container(bad);
+  ASSERT_GT(parsed.entries.size(), 3u);
+  bad[parsed.entries[3].offset + parsed.entries[3].compressed_bytes / 2] ^=
+      0x5a;
+  try {
+    (void)client.decompress(bad);
+    FAIL() << "expected CORRUPT_STREAM";
+  } catch (const ServiceError& e) {
+    EXPECT_EQ(e.status(), Status::kCorruptStream) << e.what();
+  }
+
+  const auto values = client.decompress(good);
+  const auto reference =
+      engine::ParallelEngine(opt.engine).decompress(good).values;
+  ASSERT_EQ(values.size(), reference.size());
+  EXPECT_EQ(std::memcmp(values.data(), reference.data(),
+                        values.size() * sizeof(f32)),
+            0);
 }
 
 TEST(Service, UnencodableCompressDataGetsBadRequest) {

@@ -546,6 +546,28 @@ TEST(PerfGate, NoiseBandAndHardFactorSplitOkWarnFail) {
   EXPECT_EQ(report.missing, 1u);
 }
 
+TEST(PerfGate, CurrentMetricWithoutBaselineIsReportedAsWarning) {
+  // A bench that writes a record the baseline does not have yet (a new
+  // bench, or one not refreshed) must show up, not vanish.
+  const std::vector<oa::HistoryRecord> baseline = {record("kept", 10.0)};
+  const std::vector<oa::HistoryRecord> current = {
+      record("kept", 10.0), record("new_metric", 3.0),
+      record("new_metric", 4.0)};  // last record wins, as for matches
+  const oa::GateReport report = oa::evaluate_gate(baseline, current);
+  ASSERT_EQ(report.results.size(), 2u);
+  EXPECT_EQ(report.results[0].status, oa::GateStatus::kOk);
+  const oa::GateResult& added = report.results[1];
+  EXPECT_EQ(added.status, oa::GateStatus::kNoBaseline);
+  EXPECT_EQ(added.baseline.metric, "new_metric");
+  EXPECT_DOUBLE_EQ(added.current, 4.0);
+  EXPECT_EQ(report.no_baseline, 1u);
+  EXPECT_EQ(report.warned, 1u);
+  EXPECT_EQ(report.failed, 0u);
+  const std::string table = oa::render_gate(report);
+  EXPECT_NE(table.find("NO-BASELINE"), std::string::npos);
+  EXPECT_NE(table.find("RESULT: WARN"), std::string::npos);
+}
+
 TEST(PerfGate, LowerIsBetterMetricsInvertTheDirection) {
   const std::vector<oa::HistoryRecord> baseline = {
       record("makespan", 1000.0, "lower", 0.01)};
