@@ -309,13 +309,18 @@ EngineResult ParallelEngine::compress(std::span<const f32> data,
   return result;
 }
 
+CheckedContainer ParallelEngine::check(std::span<const u8> stream) const {
+  io::ParsedContainer parsed = io::parse_container(stream);
+  core::check_container_config(parsed.header, block_codec_.config());
+  return CheckedContainer(this, stream, std::move(parsed));
+}
+
 DecompressResult ParallelEngine::decompress(std::span<const u8> stream,
                                             Deadline deadline) const {
   WallTimer timer;
-  const io::ParsedContainer parsed = io::parse_container(stream);
-  core::check_container_config(parsed.header, block_codec_.config());
-  const u64 n = parsed.header.element_count;
-  const u64 C = parsed.header.chunk_elems;
+  const CheckedContainer container = check(stream);
+  const u64 n = container.element_count();
+  const u64 C = container.parsed_.header.chunk_elems;
 
   // The decode tasks are the values' only real writers. The vector grows
   // to cover chunk c just before chunk c is dispatched, so its value-init
@@ -326,30 +331,39 @@ DecompressResult ParallelEngine::decompress(std::span<const u8> stream,
   result.values.reserve(n);
   f32* const out = result.values.data();
   static_cast<DecodeReport&>(result) = decode_chunks(
-      stream, parsed, out,
+      container, out,
       [&](u64 c) { result.values.resize(std::min(n, (c + 1) * C)); },
       deadline, timer);
   return result;
 }
 
+DecodeReport ParallelEngine::decompress_into(
+    const CheckedContainer& container, std::span<f32> out,
+    Deadline deadline) const {
+  WallTimer timer;
+  CERESZ_CHECK(container.checker_ == this,
+               "ParallelEngine::decompress_into: the container was checked "
+               "by another engine");
+  if (out.size() != container.element_count()) {
+    throw Error("ParallelEngine::decompress_into: the output holds " +
+                std::to_string(out.size()) + " values but the stream has " +
+                std::to_string(container.element_count()));
+  }
+  return decode_chunks(container, out.data(), {}, deadline, timer);
+}
+
 DecodeReport ParallelEngine::decompress_into(std::span<const u8> stream,
                                              std::span<f32> out,
                                              Deadline deadline) const {
-  WallTimer timer;
-  const io::ParsedContainer parsed = io::parse_container(stream);
-  core::check_container_config(parsed.header, block_codec_.config());
-  if (out.size() != parsed.header.element_count) {
-    throw Error("ParallelEngine::decompress_into: the output holds " +
-                std::to_string(out.size()) + " values but the stream has " +
-                std::to_string(parsed.header.element_count));
-  }
-  return decode_chunks(stream, parsed, out.data(), {}, deadline, timer);
+  return decompress_into(check(stream), out, deadline);
 }
 
 DecodeReport ParallelEngine::decode_chunks(
-    std::span<const u8> stream, const io::ParsedContainer& parsed, f32* out,
+    const CheckedContainer& container, f32* out,
     const ChunkRunner::PrepareFn& prepare, Deadline deadline,
     const WallTimer& timer) const {
+  const std::span<const u8> stream = container.stream_;
+  const io::ParsedContainer& parsed = container.parsed_;
   obs::Tracer* const tracer = options_.tracer;
   obs::MetricsRegistry reg;
   EngineMetrics em(reg);

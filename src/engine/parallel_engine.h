@@ -39,6 +39,7 @@
 
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/timer.h"
@@ -124,6 +125,28 @@ struct DecompressResult : DecodeReport {
   std::vector<f32> values;
 };
 
+class ParallelEngine;
+
+/// A container that io::parse_container accepted (header and table CRCs,
+/// offsets, the anti-bomb bound) and whose block size and header width
+/// match the codec of the engine that checked it. Only
+/// ParallelEngine::check() makes one, so element_count() is safe to size
+/// an output buffer from. Views the stream, which must outlive it.
+class CheckedContainer {
+ public:
+  u64 element_count() const { return parsed_.header.element_count; }
+
+ private:
+  friend class ParallelEngine;
+  CheckedContainer(const ParallelEngine* checker, std::span<const u8> stream,
+                   io::ParsedContainer parsed)
+      : checker_(checker), stream_(stream), parsed_(std::move(parsed)) {}
+
+  const ParallelEngine* checker_;
+  std::span<const u8> stream_;
+  io::ParsedContainer parsed_;
+};
+
 class ParallelEngine {
  public:
   /// Starts the engine's worker pool (resolved_threads() workers).
@@ -152,10 +175,22 @@ class ParallelEngine {
   DecompressResult decompress(std::span<const u8> stream,
                               Deadline deadline = {}) const;
 
+  /// Parse `stream` and check it against this engine's codec
+  /// configuration: the one validation decompress() and
+  /// decompress_into() need. Throws ceresz::Error on any violation.
+  CheckedContainer check(std::span<const u8> stream) const;
+
   /// decompress(), but into memory the caller owns: each chunk decodes
   /// straight into its own slice of `out`, which must hold exactly the
   /// container's element_count values (otherwise Error, before anything
   /// is written). In lenient mode a quarantined chunk's slice is zeroed.
+  /// `container` must come from this engine's check(), so a caller can
+  /// size `out` from it without parsing the stream twice.
+  DecodeReport decompress_into(const CheckedContainer& container,
+                               std::span<f32> out,
+                               Deadline deadline = {}) const;
+
+  /// decompress_into(check(stream), out, deadline).
   DecodeReport decompress_into(std::span<const u8> stream,
                                std::span<f32> out,
                                Deadline deadline = {}) const;
@@ -164,8 +199,7 @@ class ParallelEngine {
   /// The decode run shared by decompress() and decompress_into(): chunk
   /// c writes out[c * chunk_elems, ...); `prepare` (may be empty) runs
   /// before each chunk's first dispatch.
-  DecodeReport decode_chunks(std::span<const u8> stream,
-                             const io::ParsedContainer& parsed, f32* out,
+  DecodeReport decode_chunks(const CheckedContainer& container, f32* out,
                              const ChunkRunner::PrepareFn& prepare,
                              Deadline deadline, const WallTimer& timer) const;
 

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
+#include <optional>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -13,7 +14,6 @@
 #include "common/timer.h"
 #include "core/kernels.h"
 #include "engine/bounded_queue.h"
-#include "io/chunk_container.h"
 #include "net/buffer_pool.h"
 #include "net/socket.h"
 #include "obs/log.h"
@@ -624,12 +624,20 @@ struct ServiceServer::Impl {
                                         static_cast<i64>(id));
         respond(req, *out);
       } else {
+        // The engine decodes straight into the response frame: header
+        // and count first, the values after them, then the payload
+        // fields. The frame is sized only from a container the engine
+        // has fully checked: parsed with its anti-bomb bound, and
+        // written with this server's block size and header width (the
+        // bound is only as tight as those two fields).
         DecompressRequest dreq;
+        std::optional<engine::CheckedContainer> container;
         {
           const obs::SpanGuard decode_span(options_.tracer, "server.decode",
                                            "server", "request_id",
                                            static_cast<i64>(id));
           dreq = decode_decompress_request(*req.payload);
+          container.emplace(engine_.check(dreq.stream));
         }
         deadline_ns = deadline_ns_for(dreq.deadline_ms, req.arrival_ns);
         if (deadline_ns != 0 && now_ns() >= deadline_ns) {
@@ -639,26 +647,20 @@ struct ServiceServer::Impl {
           finish("DEADLINE_EXPIRED");
           return;
         }
-        // The engine decodes straight into the response frame: header
-        // and count first, the values after them, then the payload
-        // fields. The buffer is sized from a fully validated container
-        // (parse_container carries the anti-bomb bound), never from a
-        // bare header.
-        const u64 count = io::parse_container(dreq.stream).header
-                              .element_count;
         PooledBuffer out = pool_.acquire();
         std::span<f32> values;
         {
           const obs::SpanGuard encode_span(options_.tracer, "server.encode",
                                            "server", "request_id",
                                            static_cast<i64>(id));
-          values = begin_decompress_response(*out, id, count, meta);
+          values = begin_decompress_response(
+              *out, id, container->element_count(), meta);
         }
         {
           const obs::SpanGuard engine_span(options_.tracer, "server.engine",
                                            "server", "request_id",
                                            static_cast<i64>(id));
-          engine_.decompress_into(dreq.stream, values,
+          engine_.decompress_into(*container, values,
                                   engine_deadline(deadline_ns));
         }
         if (deadline_ns != 0 && now_ns() >= deadline_ns) {

@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <ctime>
 #include <map>
-#include <set>
 
 #include "common/error.h"
 #include "obs/analysis/json.h"
@@ -115,10 +114,15 @@ GateReport evaluate_gate(const std::vector<HistoryRecord>& baseline,
                          const std::vector<HistoryRecord>& current,
                          f64 hard_factor) {
   CERESZ_CHECK(hard_factor >= 1.0, "perfgate: hard_factor must be >= 1");
-  std::map<std::string, const HistoryRecord*> current_by_key;
+  // Each current record, and whether some baseline record compared it.
+  struct Current {
+    const HistoryRecord* record = nullptr;
+    bool compared = false;
+  };
+  std::map<std::string, Current> current_by_key;
   for (const HistoryRecord& r : current) {
     // Last record wins: a re-run bench overwrites its earlier line.
-    current_by_key[r.key()] = &r;
+    current_by_key[r.key()].record = &r;
   }
 
   GateReport report;
@@ -133,7 +137,8 @@ GateReport evaluate_gate(const std::vector<HistoryRecord>& baseline,
       report.results.push_back(std::move(res));
       continue;
     }
-    res.current = it->second->value;
+    it->second.compared = true;
+    res.current = it->second.record->value;
     if (base.value != 0.0) {
       const f64 rel = (res.current - base.value) / std::abs(base.value);
       // Positive deviation = moved in the worse direction.
@@ -154,13 +159,11 @@ GateReport evaluate_gate(const std::vector<HistoryRecord>& baseline,
     report.results.push_back(std::move(res));
   }
 
-  std::set<std::string> baseline_keys;
-  for (const HistoryRecord& base : baseline) baseline_keys.insert(base.key());
   for (const auto& [key, cur] : current_by_key) {
-    if (baseline_keys.count(key) != 0) continue;
+    if (cur.compared) continue;
     GateResult res;
-    res.baseline = *cur;
-    res.current = cur->value;
+    res.baseline = *cur.record;
+    res.current = cur.record->value;
     res.status = GateStatus::kNoBaseline;
     ++report.no_baseline;
     ++report.warned;

@@ -641,6 +641,34 @@ TEST(DecompressInto, StrictModeThrowsOnACorruptChunk) {
   EXPECT_THROW(eng.decompress_into(stream, out), Error);
 }
 
+TEST(DecompressInto, CheckRejectsAForeignCodecAndAnotherEnginesContainer) {
+  const auto data = test::smooth_signal(5000);
+  const ParallelEngine eng(small_chunks(4, 1024));
+  const auto stream =
+      eng.compress(data, core::ErrorBound::absolute(1e-3)).stream;
+
+  // A container written with another block header width never passes
+  // check(), so nothing is ever sized from its element count.
+  EngineOptions szp = small_chunks(4, 1024);
+  szp.codec.header_bytes = 1;
+  const auto foreign = ParallelEngine(szp)
+                           .compress(data, core::ErrorBound::absolute(1e-3))
+                           .stream;
+  EXPECT_THROW((void)eng.check(foreign), Error);
+
+  // A checked container sizes the output, and only the engine that
+  // checked it decodes it.
+  const CheckedContainer checked = eng.check(stream);
+  ASSERT_EQ(checked.element_count(), data.size());
+  auto out = nan_filled(checked.element_count());
+  const ParallelEngine other(small_chunks(4, 1024));
+  EXPECT_THROW(other.decompress_into(checked, out), Error);
+  EXPECT_TRUE(std::all_of(out.begin(), out.end(),
+                          [](f32 v) { return std::isnan(v); }));
+  (void)eng.decompress_into(checked, out);
+  EXPECT_TRUE(same_bits(out, eng.decompress(stream).values));
+}
+
 TEST(DecompressInto, PipelinedDecompressSurvivesFaultsAndARunDeadline) {
   // The vector decompress() grows chunk by chunk must come out the same
   // when attempts throw, crash their worker, or stall past their

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/checksum.h"
 #include "common/rng.h"
 #include "common/timer.h"
 #include "core/kernels.h"
@@ -22,6 +23,7 @@
 #include "net/server.h"
 #include "net/socket.h"
 #include "obs/log.h"
+#include "obs/trace.h"
 #include "test_util.h"
 
 namespace ceresz::net {
@@ -586,6 +588,60 @@ TEST(Service, CorruptChunkInAValidContainerGetsCorruptStream) {
   EXPECT_EQ(std::memcmp(values.data(), reference.data(),
                         values.size() * sizeof(f32)),
             0);
+}
+
+TEST(Service, ForeignCodecStreamIsRejectedBeforeTheResponseIsSized) {
+  // A container may declare any block size and header width, and its
+  // anti-bomb bound is only as tight as those two fields: 65535-value
+  // blocks behind 1-byte headers let 256 payload bytes declare 16 Mi
+  // values. The server must check the stream against its own codec
+  // before it sizes a response frame from that count, so the request
+  // gets CORRUPT_STREAM and never reaches server.encode (where the frame
+  // is sized) or server.engine.
+  obs::Tracer tracer;
+  ServerOptions opt = test_server();
+  opt.tracer = &tracer;
+  ServiceServer server(opt);
+  server.start();
+  CereszClient client;
+  client.connect("127.0.0.1", server.port());
+
+  const std::vector<u8> payload(256, 0);
+  io::ChunkedHeader h;
+  h.codec_header_bytes = 1;
+  h.block_size = 0xffff;
+  h.chunk_count = 1;
+  h.element_count = u64{0xffff} * payload.size();
+  h.chunk_elems = h.element_count;
+  h.eps_abs = 1e-3;
+  io::ChunkEntry e;
+  e.offset = h.payload_start();
+  e.compressed_bytes = payload.size();
+  e.element_count = h.element_count;
+  e.crc32c = crc32c(payload);
+  std::vector<u8> hostile;
+  io::write_container_prefix(hostile, h,
+                             std::span<const io::ChunkEntry>(&e, 1));
+  hostile.insert(hostile.end(), payload.begin(), payload.end());
+  ASSERT_EQ(io::parse_container(hostile).header.element_count,
+            u64{16} * 1024 * 1024 - 256);
+
+  try {
+    (void)client.decompress(hostile);
+    FAIL() << "expected CORRUPT_STREAM";
+  } catch (const ServiceError& e) {
+    EXPECT_EQ(e.status(), Status::kCorruptStream) << e.what();
+  }
+  for (const obs::TraceEvent& ev : tracer.snapshot_events()) {
+    EXPECT_STRNE(ev.name, "server.encode");
+    EXPECT_STRNE(ev.name, "server.engine");
+  }
+
+  // The connection still serves a valid round trip.
+  const auto data = test::smooth_signal(2048);
+  const auto values = client.decompress(
+      client.compress(data, core::ErrorBound::relative(1e-3)));
+  EXPECT_EQ(values.size(), data.size());
 }
 
 TEST(Service, UnencodableCompressDataGetsBadRequest) {
