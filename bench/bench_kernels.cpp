@@ -67,7 +67,7 @@ void BM_BitShuffle(benchmark::State& state, const KernelTable* k) {
   for (auto& v : absv) v = static_cast<u32>(rng.next_below(u64{1} << fl));
   std::vector<u8> out(fl * 4);
   for (auto _ : state) {
-    k->bit_shuffle(absv.data(), absv.size(), 0, fl, out.data());
+    k->bit_shuffle(absv.data(), absv.size(), fl, out.data());
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }

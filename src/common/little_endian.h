@@ -1,5 +1,5 @@
 // Little-endian integer fields, the byte order of every CereSZ on-disk and
-// wire format (stream container, tiled stream, archive, CSNP frames and
+// wire format (stream container, block records, archive, CSNP frames and
 // the baselines' streams).
 #pragma once
 

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "common/error.h"
+#include "common/little_endian.h"
 #include "core/flenc.h"
 
 namespace ceresz::core {
@@ -165,7 +166,7 @@ BlockInfo BlockCodec::encode(const f32* block, f64 eps, u32* abs, u8* signs,
     store_le32(body, (signs[0] & 1u) != 0 ? 0u - abs[0] : abs[0]);
   } else if (!info.zero_block) {
     std::memcpy(body, signs, L / 8);
-    kernels_->bit_shuffle(abs, L, 0, info.fixed_length, body + L / 8);
+    kernels_->bit_shuffle(abs, L, info.fixed_length, body + L / 8);
   }
   info.compressed_bytes = static_cast<u32>(compressed_size(header));
   return info;
@@ -199,10 +200,7 @@ std::size_t BlockCodec::decompress(std::span<const u8> in, f64 eps,
   }
 
   if (fl == kConstantMarker) {
-    u32 bits = 0;
-    for (int b = 0; b < 4; ++b) {
-      bits |= static_cast<u32>(in[config_.header_bytes + b]) << (8 * b);
-    }
+    const u32 bits = read_u32(in.data() + config_.header_bytes);
     const f32 value =
         static_cast<f32>(static_cast<f64>(static_cast<i32>(bits)) * 2.0 * eps);
     std::fill(output.begin(), output.end(), value);
@@ -213,10 +211,6 @@ std::size_t BlockCodec::decompress(std::span<const u8> in, f64 eps,
   kernels_->decode_block(signs, signs + L / 8, fl, L, 2.0 * eps,
                          output.data());
   return total;
-}
-
-std::size_t BlockCodec::record_size(std::span<const u8> in) const {
-  return compressed_size(read_header(in));
 }
 
 bool BlockCodec::encode_blocks(std::span<const f32> data, f64 eps,

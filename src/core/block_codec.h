@@ -1,10 +1,12 @@
 // Per-block compression/decompression: the complete three-stage CereSZ
 // kernel on one block of L floats, and the one loop that runs it over a
 // span of blocks. This is exactly the computation that a pipeline (of
-// whatever length) performs on one PE group; the stream codec and the
-// parallel engine both run encode_blocks/decode_blocks, and the WSE
-// mapping is checked against them, so the bytes coming out of the
-// simulated wafer are bit-identical to the host codec's.
+// whatever length) performs on one PE group. The block record layout
+// (header width, sign bytes, bit-planes, zero-block rule) is known to
+// this class alone: the stream codec and the parallel engine run
+// encode_blocks/decode_blocks, and the wafer simulator's sub-stage
+// executor runs compress/decompress on each block, so the bytes coming
+// out of the simulated wafer are the host codec's by construction.
 #pragma once
 
 #include <array>
@@ -82,9 +84,11 @@ class BlockCodec {
   std::size_t decompress(std::span<const u8> in, f64 eps,
                          std::span<f32> output) const;
 
-  /// Parse only the header at `in` and return the full record size —
-  /// used to index a stream's records. Throws if truncated.
-  std::size_t record_size(std::span<const u8> in) const;
+  /// Parse only the header at `in` and return its value: the block's
+  /// fixed length (0 for a zero block), or kConstantMarker;
+  /// compressed_size() of it is the record's size. Throws if the header
+  /// is truncated or out of range for this config.
+  u32 read_header(std::span<const u8> in) const;
 
   /// Compress `data` as consecutive blocks (a partial last block is
   /// zero-padded), append the records to `out` and merge their counts
@@ -105,7 +109,6 @@ class BlockCodec {
                                            const StopFn& stop = {}) const;
 
  private:
-  u32 read_header(std::span<const u8> in) const;
   /// Encode one block of block_size floats into `record`, which has room
   /// for max_compressed_size() bytes; abs and signs are scratch of
   /// block_size and block_size/8 entries.

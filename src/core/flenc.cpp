@@ -26,17 +26,6 @@ u32 effective_bits(u32 value) {
   return static_cast<u32>(std::bit_width(value));
 }
 
-void bit_shuffle_plane(std::span<const u32> abs_values, u32 bit,
-                       std::span<u8> plane_out) {
-  CERESZ_CHECK(abs_values.size() % 8 == 0,
-               "bit_shuffle_plane: block size must be a multiple of 8");
-  CERESZ_CHECK(plane_out.size() == abs_values.size() / 8,
-               "bit_shuffle_plane: plane buffer size mismatch");
-  CERESZ_CHECK(bit < 32, "bit_shuffle_plane: bit index out of range");
-  kernels().bit_shuffle(abs_values.data(), abs_values.size(), bit, 1,
-                        plane_out.data());
-}
-
 void bit_shuffle(std::span<const u32> abs_values, u32 fixed_length,
                  std::span<u8> out) {
   CERESZ_CHECK(abs_values.size() % 8 == 0,
@@ -44,7 +33,7 @@ void bit_shuffle(std::span<const u32> abs_values, u32 fixed_length,
   CERESZ_CHECK(fixed_length <= 32, "bit_shuffle: fixed length exceeds 32");
   CERESZ_CHECK(out.size() == abs_values.size() / 8 * fixed_length,
                "bit_shuffle: output buffer size mismatch");
-  kernels().bit_shuffle(abs_values.data(), abs_values.size(), 0, fixed_length,
+  kernels().bit_shuffle(abs_values.data(), abs_values.size(), fixed_length,
                         out.data());
 }
 

@@ -8,8 +8,10 @@
 // plus f·L/8 payload bytes.
 //
 // The four sub-stages (Sign, Max, GetLength, Bit-shuffle) are exposed
-// individually because the pipeline scheduler distributes them — and the
-// per-bit slices of Bit-shuffle — across PEs (Section 4.2).
+// individually so each can be tested and timed on its own. The codec runs
+// them fused (KernelTable::encode_block); the pipeline scheduler spreads
+// their cycle costs, and the per-bit slices of Bit-shuffle, across PEs
+// (Section 4.2) without running them separately.
 #pragma once
 
 #include <span>
@@ -38,11 +40,6 @@ u32 effective_bits(u32 value);
 /// `out` must hold fixed_length * L/8 bytes and is fully overwritten.
 void bit_shuffle(std::span<const u32> abs_values, u32 fixed_length,
                  std::span<u8> out);
-
-/// Shuffle a single bit-plane — the unit the pipeline scheduler assigns to
-/// PEs ("1-bit Shuffle" in Section 4.2). Writes L/8 bytes for plane `bit`.
-void bit_shuffle_plane(std::span<const u32> abs_values, u32 bit,
-                       std::span<u8> plane_out);
 
 /// Inverse of bit_shuffle: reassemble absolute values from planes.
 void bit_unshuffle(std::span<const u8> planes, u32 fixed_length,

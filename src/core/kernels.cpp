@@ -119,12 +119,10 @@ u32 block_max(const u32* abs, std::size_t n) {
   return m;
 }
 
-void bit_shuffle(const u32* abs, std::size_t n, u32 first, u32 count,
-                 u8* out) {
+void bit_shuffle(const u32* abs, std::size_t n, u32 fl, u8* out) {
   const std::size_t plane_bytes = n / 8;
-  for (u32 p = 0; p < count; ++p) {
-    const u32 bit = first + p;
-    u8* plane = out + p * plane_bytes;
+  for (u32 bit = 0; bit < fl; ++bit) {
+    u8* plane = out + bit * plane_bytes;
     std::memset(plane, 0, plane_bytes);
     for (std::size_t j = 0; j < n; ++j) {
       plane[j / 8] |= static_cast<u8>(((abs[j] >> bit) & 1u) << (j % 8));
@@ -278,19 +276,19 @@ CERESZ_AVX2 inline __m256i apply_sign8(__m256i abs, u32 sign_byte) {
   return _mm256_sub_epi32(_mm256_xor_si256(abs, neg), neg);
 }
 
-/// Planes first..first+count-1 of 32 values: plane k's bits reach the sign
-/// bit after a left shift by 31 - k, so walking the planes from the top
-/// down, each next plane is one more shift.
+/// Planes 0..fl-1 of 32 values: plane k's bits reach the sign bit after a
+/// left shift by 31 - k, so walking the planes from the top down, each
+/// next plane is one more shift.
 CERESZ_AVX2 inline void shuffle32(const u32* abs, std::size_t plane_bytes,
-                                  u32 first, u32 count, u8* out) {
-  const __m128i shift = _mm_cvtsi32_si128(static_cast<int>(32 - first - count));
+                                  u32 fl, u8* out) {
+  const __m128i shift = _mm_cvtsi32_si128(static_cast<int>(32 - fl));
   __m256i v[4];
   for (int q = 0; q < 4; ++q) {
     v[q] = _mm256_sll_epi32(
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(abs + 8 * q)),
         shift);
   }
-  for (u32 p = count; p-- > 0;) {
+  for (u32 p = fl; p-- > 0;) {
     u32 word = 0;
     for (int q = 0; q < 4; ++q) {
       word |= static_cast<u32>(_mm256_movemask_ps(_mm256_castsi256_ps(v[q])))
@@ -400,11 +398,11 @@ CERESZ_AVX2 u32 block_max(const u32* abs, std::size_t n) {
   return body > tail ? body : tail;
 }
 
-CERESZ_AVX2 void bit_shuffle(const u32* abs, std::size_t n, u32 first,
-                             u32 count, u8* out) {
-  if (n % 32 != 0) return scalar::bit_shuffle(abs, n, first, count, out);
+CERESZ_AVX2 void bit_shuffle(const u32* abs, std::size_t n, u32 fl,
+                             u8* out) {
+  if (n % 32 != 0) return scalar::bit_shuffle(abs, n, fl, out);
   for (std::size_t g = 0; g < n; g += 32) {
-    shuffle32(abs + g, n / 8, first, count, out + g / 8);
+    shuffle32(abs + g, n / 8, fl, out + g / 8);
   }
 }
 

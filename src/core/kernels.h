@@ -1,10 +1,10 @@
 // Host kernel tables: the per-block CereSZ stages behind one dispatch point.
 //
 // Every host codec path calls the table kernels() returns: BlockCodec (and
-// through it StreamCodec and ParallelEngine), the public stage functions
-// of prequant.h, lorenzo.h and flenc.h (and through them Tiled2dCodec,
-// the wafer simulator's sub-stage executor, the profiler and the cuSZ
-// baseline), and value_bounds() below, which every REL bound resolves
+// through it StreamCodec, ParallelEngine and the wafer simulator's
+// sub-stage executor), the wafer profiler's encode_block, the public stage
+// functions of prequant.h, lorenzo.h and flenc.h (and through them the
+// cuSZ baseline), and value_bounds() below, which every REL bound resolves
 // through. There are two tables, chosen once from CPUID
 // (common/isa.h):
 //   - scalar: portable C++, the reference, and the only table on hosts
@@ -68,10 +68,9 @@ struct KernelTable {
   void (*split_sign)(const i32* in, u32* abs, u8* signs, std::size_t n);
   /// Maximum of abs[0..n) (0 when n is 0; n need not be a multiple of 8).
   u32 (*block_max)(const u32* abs, std::size_t n);
-  /// Write `count` bit-planes, planes first..first+count-1 of abs, each
-  /// n/8 bytes, one after another into out.
-  void (*bit_shuffle)(const u32* abs, std::size_t n, u32 first, u32 count,
-                      u8* out);
+  /// Write planes 0..fl-1 of abs (fl <= 32), each n/8 bytes, one after
+  /// another into out.
+  void (*bit_shuffle)(const u32* abs, std::size_t n, u32 fl, u8* out);
   /// Rebuild abs from planes 0..fl-1 (fl <= 32); higher bits are zero.
   void (*bit_unshuffle)(const u8* planes, std::size_t n, u32 fl, u32* abs);
   /// out[i] = abs[i] negated when sign bit i is set, wrapped to 32 bits.
@@ -104,8 +103,8 @@ const KernelTable* avx2_kernels();
 const KernelTable& kernels();
 
 /// `table`'s value_bounds over `values`. StreamCodec, the engine's
-/// per-slice min/max, Tiled2dCodec, the profiler and the baselines all
-/// resolve REL bounds with it, so they derive the same ε.
+/// per-slice min/max, the profiler and the baselines all resolve REL
+/// bounds with it, so they derive the same ε.
 ValueBounds value_bounds(std::span<const f32> values,
                          const KernelTable& table = kernels());
 

@@ -3,9 +3,10 @@
 // p_i = round(e_i / 2ε), reconstructed as e'_i = p_i · 2ε, guaranteeing
 // |e_i - e'_i| ≤ ε. Following the paper's implementation (Section 4.2) the
 // division is a multiplication by the precomputed reciprocal of 2ε and the
-// rounding is an addition of 0.5 followed by a floor; the two halves are
-// exposed separately because they are distinct pipeline sub-stages with
-// very different cycle costs (Table 2).
+// rounding is an addition of 0.5 followed by a floor. On the PE these are
+// two sub-stages with very different cycle costs (Table 2); that split
+// lives in the cost model (core/costmodel.h), while every host path runs
+// the one KernelTable prequant.
 #pragma once
 
 #include <span>
@@ -14,16 +15,9 @@
 
 namespace ceresz::core {
 
-/// Sub-stage 1a (Multiplication): scratch_i = e_i · (1/2ε).
-void prequant_multiply(std::span<const f32> input, std::span<f64> scratch,
-                       f64 recip_two_eps);
-
-/// Sub-stage 1b (Addition): p_i = floor(scratch_i + 0.5).
-/// Throws if a quantized value does not fit in 32 bits (error bound too
-/// small for the data's magnitude).
-void prequant_add_floor(std::span<const f64> scratch, std::span<i32> output);
-
-/// Fused convenience form of the two sub-stages.
+/// p_i = floor(e_i · (1/2ε) + 0.5). Throws if a value is NaN or its
+/// quantized value does not fit in 32 bits (error bound too small for the
+/// data's magnitude).
 void prequant(std::span<const f32> input, std::span<i32> output, f64 two_eps);
 
 /// Inverse: e'_i = p_i · 2ε.

@@ -38,15 +38,14 @@ void run_group(wse::PeContext& ctx, const SubStageExecutor& exec,
 
 /// Emit the finished unit for `work` (compressed record or reconstructed
 /// floats) as a host-visible result.
-void emit_final(wse::PeContext& ctx, const SubStageExecutor& exec,
-                PipeDirection direction, u64 tag, const BlockWork& work) {
-  std::vector<u8> bytes;
+void emit_final(wse::PeContext& ctx, PipeDirection direction, u64 tag,
+                BlockWork& work) {
   if (direction == PipeDirection::kCompress) {
-    exec.assemble_record(work, bytes);
-  } else {
-    bytes.resize(work.output.size() * sizeof(f32));
-    std::memcpy(bytes.data(), work.output.data(), bytes.size());
+    ctx.emit_result(tag, std::move(work.record));
+    return;
   }
+  std::vector<u8> bytes(work.output.size() * sizeof(f32));
+  std::memcpy(bytes.data(), work.output.data(), bytes.size());
   ctx.emit_result(tag, std::move(bytes));
 }
 
@@ -146,7 +145,7 @@ void build_row_program(wse::Fabric& fabric, u32 row, const PipelinePlan& plan,
           CERESZ_CHECK(work != nullptr, "compute: message lost its block");
           run_group(ctx, *executor, head_group, *work);
           if (head_is_last) {
-            emit_final(ctx, *executor, direction, msg.tag, *work);
+            emit_final(ctx, direction, msg.tag, *work);
           } else {
             Message out;
             out.extent = msg.extent;
@@ -177,7 +176,7 @@ void build_row_program(wse::Fabric& fabric, u32 row, const PipelinePlan& plan,
             CERESZ_CHECK(work != nullptr, "stage: message lost its block");
             run_group(ctx, *executor, group, *work);
             if (is_last) {
-              emit_final(ctx, *executor, direction, msg.tag, *work);
+              emit_final(ctx, direction, msg.tag, *work);
             } else {
               Message out;
               out.extent = msg.extent;

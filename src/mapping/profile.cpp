@@ -7,8 +7,6 @@
 #include "common/rng.h"
 #include "core/flenc.h"
 #include "core/kernels.h"
-#include "core/lorenzo.h"
-#include "core/prequant.h"
 
 namespace ceresz::mapping {
 
@@ -37,21 +35,21 @@ DataProfile StageProfiler::profile(std::span<const f32> data,
       1, static_cast<u64>(static_cast<f64>(n_blocks) * sample_fraction_));
   Rng rng(seed);
 
-  std::vector<i32> quant(L);
+  // The bit width of the OR of a block's |residuals| is that of their
+  // maximum, i.e. the block's fixed length.
+  const core::KernelTable& k = core::kernels();
   std::vector<u32> absv(L);
   std::vector<u8> signs(L / 8);
   u32 max_fl = 0;
   u64 zero_blocks = 0;
   for (u64 s = 0; s < sample_blocks; ++s) {
     const u64 b = rng.next_below(n_blocks);
-    core::prequant(data.subspan(b * L, L), quant, 2.0 * p.eps_abs);
-    core::lorenzo_forward(quant, quant);
-    core::split_sign(quant, absv, signs);
-    const u32 m = core::block_max(absv);
-    if (m == 0) {
+    const u32 bits = k.encode_block(data.data() + b * L, L, 2.0 * p.eps_abs,
+                                    absv.data(), signs.data());
+    if (bits == 0) {
       ++zero_blocks;
     } else {
-      max_fl = std::max(max_fl, core::effective_bits(m));
+      max_fl = std::max(max_fl, core::effective_bits(bits));
     }
   }
 

@@ -441,9 +441,9 @@ WaferRunResult WaferMapper::decompress(std::span<const u8> stream) const {
       std::size_t pos = 0;
       for (u64 k = 0; k < chunk_blocks; ++k, ++b) {
         offsets[b] = parsed.entries[c].offset + pos;
-        const std::size_t rec = bc.record_size(payload.subspan(pos));
-        // Header low byte is the fixed length (<= 32).
-        max_fl = std::max(max_fl, static_cast<u32>(payload[pos]));
+        const u32 fl = bc.read_header(payload.subspan(pos));
+        const std::size_t rec = bc.compressed_size(fl);
+        max_fl = std::max(max_fl, fl);
         CERESZ_CHECK(rec <= payload.size() - pos,
                      "WaferMapper::decompress: chunk " + std::to_string(c) +
                          " is truncated");
@@ -502,8 +502,12 @@ WaferRunResult WaferMapper::decompress(std::span<const u8> stream) const {
   };
   RowBlock pad_template;
   pad_template.work = std::make_shared<BlockWork>();
-  // A zero-block record: header of fl = 0.
-  pad_template.work->record.assign(options_.codec.header_bytes, 0);
+  // A zero-block record (a bare header), whatever the shortcut setting:
+  // it decodes at the cheapest charges.
+  core::CodecConfig pad_codec = options_.codec;
+  pad_codec.zero_block_shortcut = true;
+  core::BlockCodec(pad_codec).compress(std::vector<f32>(L, 0.0f), eps_abs,
+                                       pad_template.work->record);
   pad_template.extent = 1;
 
   RowAssignment assignment =

@@ -111,12 +111,13 @@ TEST(BlockCodec, CorruptHeaderThrows) {
   EXPECT_THROW(codec.decompress(bogus, 1e-3, back), Error);
 }
 
-TEST(BlockCodec, RecordSizeMatchesCompress) {
+TEST(BlockCodec, HeaderGivesRecordSize) {
   const BlockCodec codec(config_with(4));
   const auto data = test::random_signal(32);
   std::vector<u8> stream;
-  codec.compress(data, 1e-4, stream);
-  EXPECT_EQ(codec.record_size(stream), stream.size());
+  const BlockInfo info = codec.compress(data, 1e-4, stream);
+  EXPECT_EQ(codec.read_header(stream), info.fixed_length);
+  EXPECT_EQ(codec.compressed_size(codec.read_header(stream)), stream.size());
 }
 
 TEST(BlockCodec, InvalidConfigThrows) {
@@ -167,7 +168,7 @@ std::size_t count_records(const BlockCodec& codec,
   std::size_t pos = 0;
   std::size_t records = 0;
   while (pos < stream.size()) {
-    pos += codec.record_size(stream.subspan(pos));
+    pos += codec.compressed_size(codec.read_header(stream.subspan(pos)));
     ++records;
   }
   EXPECT_EQ(pos, stream.size()) << "trailing partial record";

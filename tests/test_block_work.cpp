@@ -1,7 +1,7 @@
 // Direct coverage of the SubStageExecutor — the bridge between the
-// scheduled sub-stages and the simulated PEs. Its outputs must agree with
-// the host BlockCodec byte-for-byte, and its cycle charges must follow
-// the calibrated cost model including the data-dependent skip/tail rules.
+// scheduled sub-stages and the simulated PEs. Its records must be the host
+// BlockCodec's byte-for-byte, and its cycle charges must follow the
+// calibrated cost model including the data-dependent skip/tail rules.
 #include "mapping/block_work.h"
 
 #include <gtest/gtest.h>
@@ -30,18 +30,26 @@ BlockWork compressed_work(const std::vector<f32>& input,
   return work;
 }
 
-TEST(SubStageExecutor, AssembledRecordMatchesBlockCodec) {
+/// Applies the sub-stages up to and including GetLength.
+void run_to_length(BlockWork& work, const SubStageExecutor& exec) {
+  for (SubStageKind k : {SubStageKind::kPrequantMul, SubStageKind::kPrequantAdd,
+                         SubStageKind::kLorenzo, SubStageKind::kSign,
+                         SubStageKind::kMax, SubStageKind::kGetLength}) {
+    exec.apply(work, {k});
+  }
+}
+
+TEST(SubStageExecutor, RecordMatchesBlockCodec) {
   const auto exec = executor();
   const auto data = test::smooth_signal(32, 3);
-  BlockWork work = compressed_work(data, exec);
-
-  std::vector<u8> assembled;
-  exec.assemble_record(work, assembled);
+  const BlockWork work = compressed_work(data, exec);
 
   const core::BlockCodec codec{core::CodecConfig{}};
   std::vector<u8> reference;
-  codec.compress(data, 1e-3, reference);
-  EXPECT_EQ(assembled, reference);
+  const core::BlockInfo info = codec.compress(data, 1e-3, reference);
+  EXPECT_EQ(work.record, reference);
+  EXPECT_EQ(work.fl, info.fixed_length);
+  EXPECT_FALSE(work.zero);
 }
 
 TEST(SubStageExecutor, CycleChargesMatchCostModel) {
@@ -61,11 +69,7 @@ TEST(SubStageExecutor, PlanesBeyondActualLengthAreSkippedCheaply) {
   const auto exec = executor(1e-1);  // loose bound -> small fl
   BlockWork work;
   work.input = test::smooth_signal(32, 7);
-  for (SubStageKind k : {SubStageKind::kPrequantMul, SubStageKind::kPrequantAdd,
-                         SubStageKind::kLorenzo, SubStageKind::kSign,
-                         SubStageKind::kMax, SubStageKind::kGetLength}) {
-    exec.apply(work, {k});
-  }
+  run_to_length(work, exec);
   ASSERT_LT(work.fl, 30u);
   const Cycles skip = exec.apply(work, {SubStageKind::kShuffleBit, 31});
   EXPECT_EQ(skip, SubStageExecutor::kSkipCycles);
@@ -75,11 +79,7 @@ TEST(SubStageExecutor, TailStageChargesAllRemainingPlanes) {
   const auto exec = executor(1e-4);
   BlockWork work;
   work.input = test::random_signal(32, 9, -10.0, 10.0);
-  for (SubStageKind k : {SubStageKind::kPrequantMul, SubStageKind::kPrequantAdd,
-                         SubStageKind::kLorenzo, SubStageKind::kSign,
-                         SubStageKind::kMax, SubStageKind::kGetLength}) {
-    exec.apply(work, {k});
-  }
+  run_to_length(work, exec);
   ASSERT_GT(work.fl, 2u);
   const core::PeCostModel cost;
   // A tail stage planned at bit 0 must shuffle every plane of the block.
@@ -104,33 +104,37 @@ TEST(SubStageExecutor, ZeroBlockShortcutsEncoding) {
   EXPECT_TRUE(work.zero);
   EXPECT_EQ(exec.apply(work, {SubStageKind::kShuffleBit, 0, true}),
             SubStageExecutor::kSkipCycles);
+  EXPECT_EQ(work.record.size(), 4u);  // bare header
+}
 
-  std::vector<u8> record;
-  EXPECT_EQ(exec.assemble_record(work, record), 4u);  // bare header
+TEST(SubStageExecutor, ZeroRecordDecompressesAtTheSkipCharges) {
+  const auto exec = executor();
+  BlockWork work;
+  work.record.assign(4, 0);  // fl = 0
+  const core::PeCostModel cost;
+  EXPECT_EQ(exec.apply(work, {SubStageKind::kUnshuffleBit, 0, true}),
+            SubStageExecutor::kSkipCycles);
+  EXPECT_TRUE(work.zero);
+  EXPECT_EQ(exec.apply(work, {SubStageKind::kPrefixSum}),
+            SubStageExecutor::kSkipCycles);
+  EXPECT_EQ(exec.apply(work, {SubStageKind::kDequantMul}),
+            cost.zero_block_tail);
+  EXPECT_EQ(work.output, std::vector<f32>(32, 0.0f));
 }
 
 TEST(SubStageExecutor, DecompressionRecoversBlock) {
   const auto exec = executor();
   const auto data = test::smooth_signal(32, 11);
-  BlockWork comp = compressed_work(data, exec);
-  std::vector<u8> record;
-  exec.assemble_record(comp, record);
+  const BlockWork comp = compressed_work(data, exec);
 
   BlockWork decomp;
-  decomp.record = record;
+  decomp.record = comp.record;
   for (const auto& stage : core::decompression_substages(32)) {
     exec.apply(decomp, stage);
   }
   ASSERT_EQ(decomp.output.size(), 32u);
+  EXPECT_EQ(decomp.fl, comp.fl);
   EXPECT_LE(test::max_err(data, decomp.output), 1e-3);
-}
-
-TEST(SubStageExecutor, ShuffleBeforeGetLengthThrows) {
-  const auto exec = executor();
-  BlockWork work;
-  work.input = test::smooth_signal(32);
-  exec.apply(work, {SubStageKind::kPrequantMul});
-  EXPECT_THROW(exec.apply(work, {SubStageKind::kShuffleBit, 0}), Error);
 }
 
 TEST(SubStageExecutor, TruncatedRecordThrows) {
@@ -146,6 +150,12 @@ TEST(SubStageExecutor, RejectsNonPositiveEps) {
                Error);
 }
 
+TEST(SubStageExecutor, RejectsConstantBlockExtension) {
+  core::CodecConfig codec;
+  codec.constant_block_shortcut = true;
+  EXPECT_THROW(SubStageExecutor(codec, core::PeCostModel{}, 1e-3), Error);
+}
+
 class ExecutorCodecEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(ExecutorCodecEquivalence, AcrossDataShapes) {
@@ -159,18 +169,55 @@ TEST_P(ExecutorCodecEquivalence, AcrossDataShapes) {
   for (f64 eps : {1e-1, 1e-3, 1e-5}) {
     const SubStageExecutor exec(core::CodecConfig{}, core::PeCostModel{},
                                 eps);
-    BlockWork work = compressed_work(data, exec);
-    std::vector<u8> assembled;
-    exec.assemble_record(work, assembled);
+    const BlockWork work = compressed_work(data, exec);
     const core::BlockCodec codec{core::CodecConfig{}};
     std::vector<u8> reference;
     codec.compress(data, eps, reference);
-    EXPECT_EQ(assembled, reference) << "eps=" << eps;
+    EXPECT_EQ(work.record, reference) << "eps=" << eps;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, ExecutorCodecEquivalence,
                          ::testing::Range(0, 4));
+
+class ExecutorCodecConfigs
+    : public ::testing::TestWithParam<std::tuple<u32, u32>> {};
+
+TEST_P(ExecutorCodecConfigs, RecordAndValuesMatchBlockCodec) {
+  const auto [block_size, header_bytes] = GetParam();
+  core::CodecConfig codec;
+  codec.block_size = block_size;
+  codec.header_bytes = header_bytes;
+  const f64 eps = 1e-3;
+  const SubStageExecutor exec(codec, core::PeCostModel{}, eps);
+  const core::BlockCodec reference(codec);
+
+  const auto data = test::random_signal(block_size, block_size + header_bytes,
+                                        -5.0, 5.0);
+  BlockWork comp;
+  comp.input = data;
+  for (const auto& stage : core::compression_substages(8)) {
+    exec.apply(comp, stage);
+  }
+  std::vector<u8> record;
+  reference.compress(data, eps, record);
+  EXPECT_EQ(comp.record, record)
+      << "L=" << block_size << " hb=" << header_bytes;
+
+  BlockWork decomp;
+  decomp.record = record;
+  for (const auto& stage : core::decompression_substages(8)) {
+    exec.apply(decomp, stage);
+  }
+  std::vector<f32> values(block_size);
+  reference.decompress(record, eps, values);
+  EXPECT_EQ(decomp.output, values)
+      << "L=" << block_size << " hb=" << header_bytes;
+}
+
+INSTANTIATE_TEST_SUITE_P(Configs, ExecutorCodecConfigs,
+                         ::testing::Combine(::testing::Values(16u, 32u, 64u),
+                                            ::testing::Values(1u, 2u, 4u)));
 
 }  // namespace
 }  // namespace ceresz::mapping

@@ -58,20 +58,6 @@ TEST(Flenc, PaperFigure8Example) {
   EXPECT_EQ(back, absv);
 }
 
-TEST(Flenc, SingleBitPlaneMatchesFullShuffle) {
-  Rng rng(17);
-  std::vector<u32> absv(32);
-  for (auto& v : absv) v = static_cast<u32>(rng.next_below(1u << 13));
-  const u32 fl = 13;
-  std::vector<u8> full(fl * 4);
-  bit_shuffle(absv, fl, full);
-  for (u32 k = 0; k < fl; ++k) {
-    std::vector<u8> plane(4);
-    bit_shuffle_plane(absv, k, plane);
-    for (int b = 0; b < 4; ++b) EXPECT_EQ(plane[b], full[k * 4 + b]);
-  }
-}
-
 TEST(Flenc, NonMultipleOf8Throws) {
   std::vector<i32> in(7);
   std::vector<u32> absv(7);

@@ -280,7 +280,7 @@ TEST_F(KernelDiff, FusedBlockKernelsWithLorenzoOverflowAnywhere) {
       std::vector<u8> signs(n / 8);
       std::vector<u8> planes(n / 8 * 32);
       ref.split_sign(r.data(), abs.data(), signs.data(), n);
-      ref.bit_shuffle(abs.data(), n, 0, 32, planes.data());
+      ref.bit_shuffle(abs.data(), n, 32, planes.data());
       decode_errors += !expect_same(
                              [&](const KernelTable& k) {
                                std::vector<f32> out(n);
@@ -337,21 +337,10 @@ TEST_F(KernelDiff, SignsPlanesAndMaxForEveryLengthAndBlockSize) {
       const Outcome planes = expect_same(
           [&](const KernelTable& k) {
             std::vector<u8> out(n / 8 * fl, 0xa5);
-            k.bit_shuffle(abs.data(), n, 0, fl, out.data());
+            k.bit_shuffle(abs.data(), n, fl, out.data());
             return out;
           },
           "bit_shuffle " + what);
-      // A subset of planes, as the 1-bit shuffle sub-stages write them.
-      for (u32 first = 0; first < fl; first += 5) {
-        expect_same(
-            [&](const KernelTable& k) {
-              const u32 count = std::min(3u, fl - first);
-              std::vector<u8> out(n / 8 * count, 0x5a);
-              k.bit_shuffle(abs.data(), n, first, count, out.data());
-              return out;
-            },
-            "bit_shuffle planes from " + std::to_string(first) + " " + what);
-      }
       expect_same(
           [&](const KernelTable& k) {
             std::vector<u32> back(n, 0xdeadbeef);

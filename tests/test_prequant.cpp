@@ -34,17 +34,6 @@ TEST(Prequant, RoundsToNearest) {
   EXPECT_EQ(out[5], 1);   // 1.25 + 0.5 = 1.75 -> floor 1
 }
 
-TEST(Prequant, SubStagesComposeToFused) {
-  const auto in = test::smooth_signal(256);
-  const f64 eps = 1e-3;
-  std::vector<f64> scratch(in.size());
-  std::vector<i32> split(in.size()), fused(in.size());
-  prequant_multiply(in, scratch, 1.0 / (2.0 * eps));
-  prequant_add_floor(scratch, split);
-  prequant(in, fused, 2.0 * eps);
-  EXPECT_EQ(split, fused);
-}
-
 TEST(Prequant, ThrowsOnOverflow) {
   const std::vector<f32> in = {3.0e9f};
   std::vector<i32> out(1);

@@ -6,7 +6,6 @@
 #include "baselines/compressor.h"
 #include "common/rng.h"
 #include "core/stream_codec.h"
-#include "core/tiled_codec.h"
 #include "engine/parallel_engine.h"
 #include "io/chunk_container.h"
 #include "mapping/wafer_mapper.h"
@@ -83,7 +82,6 @@ TEST_P(StreamFuzz, BitFlipsNeverCrashTheRecordDecoder) {
 TEST_P(StreamFuzz, RandomBytesNeverCrashAnyDecoder) {
   Rng rng(GetParam() * 131 + 3);
   const core::StreamCodec stream_codec;
-  const core::Tiled2dCodec tiled_codec;
   const auto sz3 = baselines::make_sz3();
   const auto cusz = baselines::make_cusz();
   const auto szp = baselines::make_szp();
@@ -91,10 +89,6 @@ TEST_P(StreamFuzz, RandomBytesNeverCrashAnyDecoder) {
     std::vector<u8> junk(16 + rng.next_below(4096));
     for (auto& b : junk) b = static_cast<u8>(rng.next_u64());
     expect_no_crash([&] { stream_codec.decompress(junk); });
-    expect_no_crash([&] {
-      std::size_t w, h;
-      tiled_codec.decompress(junk, w, h);
-    });
     expect_no_crash([&] { sz3->decompress(junk); });
     expect_no_crash([&] { cusz->decompress(junk); });
     expect_no_crash([&] { szp->decompress(junk); });
